@@ -24,19 +24,30 @@ import numpy as np
 from ..core.framework import GeneratedKernel
 from .compiler import SharedObject, assemble_kernel
 
-_DP = ctypes.POINTER(ctypes.c_double)
+#: kernels take raw data addresses: ``c_void_p`` converts a Python int
+#: for free, where ``data_as(POINTER(c_double))`` costs microseconds
+_VP = ctypes.c_void_p
+_F64 = np.dtype(np.float64)
+_BYTE = ctypes.c_char
 
 
-def _ptr(a: np.ndarray) -> "ctypes._Pointer":
+def _ptr(a: np.ndarray) -> int:
     # explicit checks, not asserts: handing a native kernel a pointer to
     # the wrong dtype or a strided view corrupts memory instead of
-    # raising, and asserts vanish under ``python -O``
-    if a.dtype != np.float64:
+    # raising, and asserts vanish under ``python -O``.  ``is`` catches
+    # the canonical float64 dtype; ``!=`` the equal-but-distinct ones.
+    if a.dtype is not _F64 and a.dtype != _F64:
         raise TypeError(f"kernel buffers must be float64, got {a.dtype}")
     if not a.flags.c_contiguous:
         raise ValueError("kernel buffers must be C-contiguous "
                          "(pass a copy of the strided view)")
-    return a.ctypes.data_as(_DP)
+    try:
+        # a ctypes view of the buffer yields its address several times
+        # cheaper than building the ``a.ctypes`` helper object; it needs
+        # a writable, non-empty buffer
+        return ctypes.addressof(_BYTE.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
 
 
 @dataclass
@@ -74,7 +85,7 @@ class GemmKernel(NativeKernel):
         self = super().load(generated)
         self.fn.restype = None
         self.fn.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                            _DP, _DP, _DP, ctypes.c_long]
+                            _VP, _VP, _VP, ctypes.c_long]
         return self
 
     def __call__(self, mc: int, nc: int, kc: int, a: np.ndarray,
@@ -89,8 +100,8 @@ class GemvKernel(NativeKernel):
     def load(cls, generated: GeneratedKernel) -> "GemvKernel":
         self = super().load(generated)
         self.fn.restype = None
-        self.fn.argtypes = [ctypes.c_long, ctypes.c_long, _DP,
-                            ctypes.c_long, _DP, _DP]
+        self.fn.argtypes = [ctypes.c_long, ctypes.c_long, _VP,
+                            ctypes.c_long, _VP, _VP]
         return self
 
     def __call__(self, m: int, n: int, a: np.ndarray, lda: int,
@@ -105,7 +116,7 @@ class AxpyKernel(NativeKernel):
     def load(cls, generated: GeneratedKernel) -> "AxpyKernel":
         self = super().load(generated)
         self.fn.restype = None
-        self.fn.argtypes = [ctypes.c_long, ctypes.c_double, _DP, _DP]
+        self.fn.argtypes = [ctypes.c_long, ctypes.c_double, _VP, _VP]
         return self
 
     def __call__(self, n: int, alpha: float, x: np.ndarray,
@@ -120,7 +131,7 @@ class ScalKernel(NativeKernel):
     def load(cls, generated: GeneratedKernel) -> "ScalKernel":
         self = super().load(generated)
         self.fn.restype = None
-        self.fn.argtypes = [ctypes.c_long, ctypes.c_double, _DP]
+        self.fn.argtypes = [ctypes.c_long, ctypes.c_double, _VP]
         return self
 
     def __call__(self, n: int, alpha: float, x: np.ndarray) -> None:
@@ -134,7 +145,7 @@ class DotKernel(NativeKernel):
     def load(cls, generated: GeneratedKernel) -> "DotKernel":
         self = super().load(generated)
         self.fn.restype = ctypes.c_double
-        self.fn.argtypes = [ctypes.c_long, _DP, _DP]
+        self.fn.argtypes = [ctypes.c_long, _VP, _VP]
         return self
 
     def __call__(self, n: int, x: np.ndarray, y: np.ndarray) -> float:

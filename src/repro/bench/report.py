@@ -3,18 +3,11 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Publish via tempfile + ``os.replace`` so a concurrent reader (or a
-    crash mid-write) can never observe a half-written result file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+from ..backend.fsio import atomic_write_text
 
 
 @dataclass
@@ -88,7 +81,7 @@ class FigureResult:
     def save(self, directory: Path) -> Path:
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{self.figure_id}.json"
-        _atomic_write_text(path, self.to_json())
+        atomic_write_text(path, self.to_json(), tag="bench.report")
         return path
 
 
@@ -113,7 +106,8 @@ class TableResult:
     def save(self, directory: Path) -> Path:
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{self.table_id}.json"
-        _atomic_write_text(path, json.dumps(
+        atomic_write_text(path, json.dumps(
             {"table": self.table_id, "title": self.title,
-             "columns": self.columns, "rows": self.rows}, indent=2))
+             "columns": self.columns, "rows": self.rows}, indent=2),
+            tag="bench.report")
         return path

@@ -44,14 +44,15 @@ class GemvDriver:
         if a.ndim != 2 or x.ndim != 1:
             raise ValueError("A must be 2-D and x 1-D")
         m, n = a.shape
-        out_len = n if trans else m
-        if len(x) != (m if trans else n):
-            raise ValueError("x length does not match A")
-        out = np.zeros(out_len) if y is None else np.array(y, dtype=np.float64)
-        if beta == 0.0:
-            out[:] = 0.0
-        elif beta != 1.0:
-            out *= beta
+        in_len, out_len = (m, n) if trans else (n, m)
+        if len(x) != in_len or (y is not None and len(y) != out_len):
+            raise ValueError("x or y length does not match A")
+        if y is None or beta == 0.0:  # BLAS: y is not read when beta is 0
+            out = np.zeros(out_len)
+        else:
+            out = np.array(y, dtype=np.float64)
+            if beta != 1.0:
+                out *= beta
 
         if trans:
             self._gemv_t(a, x, out, alpha)
@@ -64,14 +65,14 @@ class GemvDriver:
     def _gemv_t(self, buf: np.ndarray, x: np.ndarray, out: np.ndarray,
                 alpha: float) -> None:
         """column-sweep: out[j] += sum_i buf[i, j] * x[i]."""
-        sweep, out_len = buf.shape
-        lda = buf.shape[1]
+        sweep, lda = buf.shape  # lda is also the output length
         xs = x if alpha == 1.0 else alpha * x
-        main = out_len - out_len % self.unroll_t
+        main = lda - lda % self.unroll_t
         if main:
             self.kernel_t(main, sweep, buf, lda, xs, out)
-        if main < out_len:
-            out[main:] += buf[:, main:].T @ xs
+        if main < lda:
+            tail = out[main:]  # ``out[main:] +=`` would copy it back
+            tail += xs @ buf[:, main:]
 
     def _gemv_n(self, a: np.ndarray, x: np.ndarray, out: np.ndarray,
                 alpha: float) -> None:

@@ -33,6 +33,8 @@ from ..obs import incr
 #: accepted ``nan_policy`` values
 NAN_POLICIES = ("propagate", "raise")
 
+_F64 = np.dtype(np.float64)
+
 
 class BlasArgumentError(ValueError):
     """Invalid argument to a BLAS entry point (the ``xerbla`` analogue)."""
@@ -92,6 +94,12 @@ class ArgGuard:
     # -- coercion ---------------------------------------------------------
     def _coerce(self, routine: str, param: str, value,
                 ndim: int) -> np.ndarray:
+        # fast path: an operand that is already kernel-ready needs no
+        # conversion, so none of the checks below can fire on it
+        if type(value) is np.ndarray and value.ndim == ndim \
+                and value.dtype is _F64 and value.flags.c_contiguous:
+            self._check_finite(routine, param, value)
+            return value
         try:
             arr = np.asarray(value)
         except Exception:

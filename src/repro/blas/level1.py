@@ -4,6 +4,10 @@ The generated kernels run remainder-free over the largest prefix whose
 length is a multiple of the unroll factor; the short tail (< unroll
 elements) is finished in numpy — the same split a hand-written BLAS does
 with its scalar cleanup loop.
+
+The facade's guard hands these drivers C-contiguous float64 vectors, so
+they check only what a direct caller could get wrong cheaply: lengths
+here, dtype and contiguity of every kernel buffer in the runner.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import numpy as np
 
 from ..backend.runner import AxpyKernel, DotKernel
 from ..core.framework import GeneratedKernel
+
+_F64 = np.dtype(np.float64)
 
 
 def unroll_of(generated: GeneratedKernel, var: str = "i") -> int:
@@ -35,16 +41,17 @@ class AxpyDriver:
 
     def __call__(self, alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
-        if y.dtype != np.float64 or not y.flags.c_contiguous:
+        if y.dtype != _F64 or not y.flags.c_contiguous:
             raise ValueError("y must be a contiguous float64 array")
         if x.shape != y.shape or x.ndim != 1:
             raise ValueError("x and y must be 1-D arrays of equal length")
         n = len(x)
         main = n - n % self.unroll
         if main:
-            self.kernel(main, float(alpha), x, y)
+            self.kernel(main, alpha, x, y)
         if main < n:
-            y[main:] += alpha * x[main:]
+            tail = y[main:]  # ``y[main:] +=`` would copy the tail back
+            tail += alpha * x[main:]
         return y
 
 
@@ -64,7 +71,7 @@ class DotDriver:
         main = n - n % self.unroll
         total = self.kernel(main, x, y) if main else 0.0
         if main < n:
-            total += float(x[main:] @ y[main:])
+            total += x[main:].dot(y[main:])
         return total
 
 
@@ -77,16 +84,17 @@ class ScalDriver:
         self.unroll = unroll_of(kernel.generated)
 
     def __call__(self, alpha: float, x: np.ndarray) -> np.ndarray:
-        if x.dtype != np.float64 or not x.flags.c_contiguous:
+        if x.dtype != _F64 or not x.flags.c_contiguous:
             raise ValueError("x must be a contiguous float64 array")
         if x.ndim != 1:
             raise ValueError("x must be 1-D")
         n = len(x)
         main = n - n % self.unroll
         if main:
-            self.kernel(main, float(alpha), x)
+            self.kernel(main, alpha, x)
         if main < n:
-            x[main:] *= alpha
+            tail = x[main:]
+            tail *= alpha
         return x
 
 

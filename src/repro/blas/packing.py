@@ -48,9 +48,11 @@ def pack_a(block: np.ndarray, mc: int, kc: int,
     if rows > mc or k > kc:
         raise ValueError(f"block {block.shape} exceeds panel ({mc}, {kc})")
     panel = _panel(out, kc, mc)
-    if out is not None:
-        panel[k:, :] = 0.0
-        panel[:k, rows:] = 0.0
+    if out is not None:  # re-zero the padding (skipping empty slices)
+        if k < kc:
+            panel[k:, :] = 0.0
+        if rows < mc:
+            panel[:k, rows:] = 0.0
     if alpha == 1.0:
         panel[:k, :rows] = block.T
     else:
@@ -66,8 +68,10 @@ def pack_b_dup(block: np.ndarray, kc: int, nc: int,
         raise ValueError(f"block {block.shape} exceeds panel ({kc}, {nc})")
     panel = _panel(out, nc, kc)
     if out is not None:
-        panel[cols:, :] = 0.0
-        panel[:cols, k:] = 0.0
+        if cols < nc:
+            panel[cols:, :] = 0.0
+        if k < kc:
+            panel[:cols, k:] = 0.0
     panel[:cols, :k] = block.T
     return panel.ravel() if out is None else out
 
@@ -80,8 +84,10 @@ def pack_b_shuf(block: np.ndarray, kc: int, nc: int,
         raise ValueError(f"block {block.shape} exceeds panel ({kc}, {nc})")
     panel = _panel(out, kc, nc)
     if out is not None:
-        panel[k:, :] = 0.0
-        panel[:k, cols:] = 0.0
+        if k < kc:
+            panel[k:, :] = 0.0
+        if cols < nc:
+            panel[:k, cols:] = 0.0
     panel[:k, :cols] = block
     return panel.ravel() if out is None else out
 

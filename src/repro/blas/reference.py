@@ -80,10 +80,6 @@ def ref_trsm(l, b, alpha=1.0):
     return alpha * la.solve(lo, np.asarray(b))
 
 
-def ref_ger(alpha, x, y, a):
-    return np.asarray(a) + alpha * np.outer(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Driver-shaped wrappers (the dispatch chain's reference tier)
 # ---------------------------------------------------------------------------

@@ -177,15 +177,6 @@ class KernelCodeGen:
                         comment=f"reload {var}"))
         return scratch
 
-    def gp_write_from(self, var: str, src: Register) -> None:
-        home = self.gp_home.get(var)
-        if home is not None:
-            if home.name != src.name:
-                self.emit(instr("mov", src, home))
-        else:
-            self.emit(instr("mov", src, self._slot_mem(var),
-                            comment=f"spill {var}"))
-
     # ------------------------------------------------------------------
     # integer / pointer expression evaluation
     # ------------------------------------------------------------------

@@ -113,6 +113,3 @@ class Liveness:
         """Variables whose range extends beyond ``stmt``'s position."""
         pos = self.position_of(stmt)
         return {v for v, r in self._range.items() if r.start <= pos < r.end}
-
-    def known_vars(self) -> Set[str]:
-        return set(self._range)

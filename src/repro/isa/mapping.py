@@ -112,10 +112,6 @@ class MappingRules:
             mn = "movapd" if aligned else "movupd"
         return [instr(mn, self._v(src), dst, comment=comment)]
 
-    def vmov(self, src: Register, dst: Register) -> List[Instr]:
-        mn = "vmovapd" if self.avx else "movapd"
-        return [instr(mn, self._v(src), self._v(dst))]
-
     def vzero(self, reg: Register) -> List[Instr]:
         v = self._v(reg)
         if self.avx:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from .errors import LexError
 
@@ -142,8 +142,3 @@ def tokenize(source: str) -> List[Token]:
             raise err(f"unexpected character {c!r}")
     toks.append(Token("eof", "", line, col))
     return toks
-
-
-def token_stream(source: str) -> Iterator[Token]:
-    """Iterator form of :func:`tokenize`."""
-    yield from tokenize(source)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import secrets
 from multiprocessing import shared_memory
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -162,7 +162,3 @@ class AttachedSet:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-
-def total_bytes(refs: Iterable[ArrayRef]) -> int:
-    return sum(ref.nbytes for ref in refs)

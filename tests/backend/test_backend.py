@@ -148,3 +148,28 @@ def test_runner_rejects_wrong_dtype_and_strides(rng):
     with pytest.raises(ValueError):
         _ptr(np.zeros((4, 4))[:, 0])  # strided view
     assert _ptr(np.zeros(4)) is not None
+
+
+def test_runner_raw_addresses(rng):
+    from repro.backend.runner import _ptr
+
+    x = rng.standard_normal(40)
+    assert _ptr(x) == x.ctypes.data
+    assert _ptr(x[8:]) == x.ctypes.data + 8 * 8  # views keep their offset
+    frozen = x.copy()
+    frozen.flags.writeable = False  # no writable buffer: falls back
+    assert _ptr(frozen) == frozen.ctypes.data
+    assert isinstance(_ptr(np.zeros(0)), int)
+
+
+def test_kernels_reject_wrong_dtype_and_strides(rng):
+    aug = Augem(arch=detect_host())
+    k = load_kernel("dot", aug.generate_named("dot", name="t_dot_ptr"))
+    x = rng.standard_normal(32)
+    with pytest.raises(TypeError, match="float64"):
+        k(32, x.astype(np.float32), x)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        k(16, x[::2], x[:16])
+    frozen = x.copy()
+    frozen.flags.writeable = False
+    assert np.isclose(k(32, frozen, x), x @ x)

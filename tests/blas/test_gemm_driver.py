@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.faults import (FaultPlan, InjectedWorkerFault,
+                                  clear_fault_plan, install_fault_plan)
 from repro.blas.gemm import BlockSizes, GemmDriver, kernel_multiples, make_gemm
+from repro.blas.integrity import (IntegrityReport, emulated_gemm_driver,
+                                  reset_integrity_state)
 from repro.transforms.pipeline import OptimizationConfig
 
 from tests.conftest import needs_cc
@@ -122,3 +126,112 @@ def test_property_random_shapes(m, k, n, seed):
     a = r.standard_normal((m, k))
     b = r.standard_normal((k, n))
     assert np.allclose(gemm(a, b), a @ b)
+
+
+# -- single-macro-tile path ----------------------------------------------------
+
+def _forbid_multi_tile(driver):
+    """Make ``driver`` fail loudly if a call leaves the single-tile path."""
+    def multi(*args, **kwargs):
+        raise AssertionError("took the multi-tile path")
+    driver._run_tiles = multi
+    return driver
+
+
+@pytest.mark.parametrize("m,n,k", [(1, 1, 1), (13, 7, 5), (25, 9, 31),
+                                   (40, 30, 17), (64, 64, 64)])
+@pytest.mark.parametrize("alpha,beta,with_c", [
+    (1.0, 0.0, False), (2.5, 0.0, False), (-0.75, 0.0, True),
+    (1.3, 1.0, True), (0.6, -0.7, True)])
+def test_single_tile_bit_identical_to_many_tiles(gemm, rng, m, n, k, alpha,
+                                                 beta, with_c):
+    # same kc (so the same k slicing); the many-tile driver cuts the
+    # product into mu x nu macro-tiles that share B panels
+    single = _forbid_multi_tile(GemmDriver(gemm.kernel))
+    many = GemmDriver(gemm.kernel, blocks=BlockSizes(mc=gemm.mu, nc=gemm.nu,
+                                                     kc=256))
+    a = rng.standard_normal((m, k))
+    b = rng.standard_normal((k, n))
+    c = rng.standard_normal((m, n)) if with_c else None
+    got = single(a, b, c, alpha=alpha, beta=beta)
+    want = many(a, b, c, alpha=alpha, beta=beta)
+    assert np.ascontiguousarray(got).tobytes() == \
+        np.ascontiguousarray(want).tobytes()
+    ref = alpha * (a @ b) + (beta * c if with_c else 0.0)
+    assert np.allclose(got, ref)
+
+
+def test_unzeroed_workspace_never_holds_negative_zero(gemm):
+    # -1 * 0 products are -0.0, but the kernel accumulates them onto a
+    # +0.0 tile, so assigning tiles into an unzeroed workspace gives the
+    # same bits as adding them into zeros
+    got = gemm(-np.ones((5, 3)), np.zeros((3, 6)), alpha=-1.0)
+    assert not np.signbit(got).any()
+
+
+def test_beta_zero_does_not_read_c(gemm, rng):
+    a = rng.standard_normal((6, 4))
+    b = rng.standard_normal((4, 5))
+    c = np.full((6, 5), np.nan)
+    got = gemm(a, b, c, beta=0.0)
+    assert np.allclose(got, a @ b)
+    assert np.isnan(c).all()  # and the caller's C is untouched
+
+
+class _FailingKernel:
+    def __init__(self, generated):
+        self.generated = generated
+
+    def __call__(self, *args):
+        raise RuntimeError("kernel blew up")
+
+
+def test_single_tile_exception_returns_every_pool_buffer(gemm, rng):
+    driver = _forbid_multi_tile(GemmDriver(_FailingKernel(
+        gemm.kernel.generated)))
+    with pytest.raises(RuntimeError, match="blew up"):
+        driver(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+    assert driver.pack_pool.outstanding == 0
+    assert driver.pack_pool.allocations == 3  # separate C, B and A buffers
+
+
+@pytest.fixture
+def fault_plan():
+    reset_integrity_state()
+    yield lambda text: install_fault_plan(FaultPlan.parse(text))
+    clear_fault_plan()
+    reset_integrity_state()
+
+
+def _emulated_single_tile(integrity):
+    return _forbid_multi_tile(emulated_gemm_driver(
+        integrity=integrity, blocks=BlockSizes(mc=64, kc=64, nc=64)))
+
+
+def test_single_tile_worker_die_fault_fires(fault_plan, rng):
+    fault_plan("worker_die@#0")
+    driver = _emulated_single_tile("off")
+    with pytest.raises(InjectedWorkerFault):
+        driver(rng.standard_normal((6, 5)), rng.standard_normal((5, 7)))
+    assert driver.pack_pool.outstanding == 0
+
+
+def test_single_tile_corrupt_fault_fires(fault_plan, rng):
+    fault_plan("corrupt@#0")
+    driver = _emulated_single_tile("off")
+    a = rng.standard_normal((6, 5))
+    b = rng.standard_normal((5, 7))
+    assert not np.allclose(driver(a, b), a @ b)
+
+
+def test_single_tile_full_integrity_catches_corrupt(fault_plan, rng):
+    fault_plan("corrupt@#0:1")
+    driver = _emulated_single_tile("full")
+    a = rng.standard_normal((6, 5))
+    b = rng.standard_normal((5, 7))
+    report = IntegrityReport()
+    got = driver(a, b, integrity_report=report)
+    assert np.allclose(got, a @ b, rtol=1e-12, atol=1e-12)
+    assert (report.tiles_checked, report.mismatches, report.retries,
+            report.reference_recomputes) == (1, 1, 1, 0)
+    assert driver.pack_pool.outstanding == 0

@@ -66,6 +66,31 @@ def test_coercions_are_counted():
     assert g.stats.coercions == 2
 
 
+def test_kernel_ready_fast_path_keeps_outcomes():
+    g = ArgGuard()
+    ok = np.zeros((3, 3))
+    vec = np.zeros(4)
+    assert g.matrix("dgemm", "a", ok) is ok
+    assert g.vector("ddot", "x", vec) is vec
+    # everything else still takes the converting path, counted as before
+    g.matrix("dgemm", "a", np.ones((3, 2)).T)
+    g.matrix("dgemm", "a", np.ones((3, 3), dtype=np.int32))
+    g.vector("ddot", "x", np.arange(4))
+    g.vector("ddot", "x", np.zeros(8)[::2])
+    assert g.stats.coercions == 4
+    with pytest.raises(BlasArgumentError, match="2-D"):
+        g.matrix("dgemm", "a", vec)  # kernel-ready but the wrong rank
+    strict = ArgGuard(nan_policy="raise")
+    bad = np.array([[1.0, np.inf], [0.0, 1.0]])
+    with pytest.raises(BlasArgumentError, match="NaN/Inf"):
+        strict.matrix("dgemm", "a", bad)
+    with pytest.raises(BlasArgumentError, match="NaN/Inf"):
+        strict.vector("ddot", "x", np.array([0.0, np.nan]))
+    with pytest.raises(BlasArgumentError, match="NaN/Inf"):
+        strict.matrix("dgemm", "a", bad.T)  # converting path, same check
+    assert strict.stats.coercions == 1
+
+
 def test_inplace_rejects_anything_not_kernel_ready():
     g = ArgGuard()
     with pytest.raises(BlasArgumentError, match="numpy array"):

@@ -105,6 +105,19 @@ def test_gemv_alpha_beta(gemv, rng):
 def test_gemv_length_mismatch(gemv):
     with pytest.raises(ValueError):
         gemv(np.zeros((4, 5)), np.zeros(9), trans=True)
+    with pytest.raises(ValueError):  # y shorter than the output
+        gemv(np.zeros((4, 5)), np.zeros(4), np.zeros(3), beta=1.0,
+             trans=True)
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_gemv_beta_zero_does_not_read_y(gemv, rng, trans):
+    a = rng.standard_normal((19, 23))
+    x = rng.standard_normal(19 if trans else 23)
+    y = np.full(23 if trans else 19, np.nan)
+    got = gemv(a, x, y, alpha=0.5, beta=0.0, trans=trans)
+    assert np.allclose(got, 0.5 * ((a.T if trans else a) @ x))
+    assert np.isnan(y).all()
 
 
 # -- GER ------------------------------------------------------------------------
