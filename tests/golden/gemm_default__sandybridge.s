@@ -1,0 +1,212 @@
+	.section .note.GNU-stack,"",@progbits
+	.text
+	.globl dgemm_kernel
+	.type dgemm_kernel, @function
+	.p2align 4
+dgemm_kernel:
+	push	%r12
+	push	%r13
+	push	%r14
+	push	%r15
+	push	%rbp
+	push	%rbx
+	sub	$112, %rsp
+	mov	%rdi, (%rsp)	# arg Mc
+	mov	%rsi, 8(%rsp)	# arg Nc
+	mov	%rdx, 16(%rsp)	# arg Kc
+	mov	%rcx, 24(%rsp)	# arg A
+	mov	%r8, 32(%rsp)	# arg B
+	mov	%r9, 40(%rsp)	# arg C
+	mov	168(%rsp), %rax	# stack arg LDC
+	mov	%rax, 48(%rsp)
+	mov	(%rsp), %r15	# home Mc
+	mov	16(%rsp), %r14	# home Kc
+	mov	$0, %rax
+	mov	%rax, 56(%rsp)
+	jmp	.LBL0
+.LBL1:
+	mov	56(%rsp), %rax
+	imul	48(%rsp), %rax
+	mov	40(%rsp), %r10
+	lea	(%r10,%rax,8), %r10
+	mov	56(%rsp), %rax
+	imul	48(%rsp), %rax
+	mov	40(%rsp), %rbx
+	add	48(%rsp), %rax
+	lea	(%rbx,%rax,8), %rbx
+	mov	56(%rsp), %rax
+	imul	48(%rsp), %rax
+	mov	40(%rsp), %rbp
+	mov	%rax, 72(%rsp)
+	mov	$2, %rax
+	imul	48(%rsp), %rax
+	add	72(%rsp), %rax
+	lea	(%rbp,%rax,8), %rbp
+	mov	56(%rsp), %rax
+	imul	48(%rsp), %rax
+	mov	40(%rsp), %r12
+	mov	%rax, 72(%rsp)
+	mov	$3, %rax
+	imul	48(%rsp), %rax
+	add	72(%rsp), %rax
+	lea	(%r12,%rax,8), %r12
+	mov	$0, %rax
+	mov	%rax, 64(%rsp)
+	jmp	.LBL2
+.LBL3:
+	mov	24(%rsp), %rdi
+	mov	64(%rsp), %rax
+	lea	(%rdi,%rax,8), %rdi
+	mov	56(%rsp), %rax
+	imul	%r14, %rax
+	mov	32(%rsp), %rdx
+	lea	(%rdx,%rax,8), %rdx
+	mov	56(%rsp), %rax
+	imul	%r14, %rax
+	mov	32(%rsp), %rcx
+	add	%r14, %rax
+	lea	(%rcx,%rax,8), %rcx
+	mov	56(%rsp), %rax
+	imul	%r14, %rax
+	mov	32(%rsp), %r8
+	mov	%rax, 72(%rsp)
+	mov	$2, %rax
+	imul	%r14, %rax
+	add	72(%rsp), %rax
+	lea	(%r8,%rax,8), %r8
+	mov	56(%rsp), %rax
+	imul	%r14, %rax
+	mov	32(%rsp), %r9
+	mov	%rax, 72(%rsp)
+	mov	$3, %rax
+	imul	%r14, %rax
+	add	72(%rsp), %rax
+	lea	(%r9,%rax,8), %r9
+	mov	%r15, %rax
+	mov	24(%rsp), %rsi
+	add	64(%rsp), %rax
+	vxorpd	%ymm8, %ymm8, %ymm8
+	vxorpd	%ymm9, %ymm9, %ymm9
+	vxorpd	%ymm10, %ymm10, %ymm10
+	vxorpd	%ymm11, %ymm11, %ymm11
+	vxorpd	%ymm12, %ymm12, %ymm12
+	vxorpd	%ymm13, %ymm13, %ymm13
+	vxorpd	%ymm14, %ymm14, %ymm14
+	vxorpd	%ymm15, %ymm15, %ymm15
+	lea	(%rsi,%rax,8), %rsi
+	mov	$0, %r13
+	jmp	.LBL4
+.LBL5:
+	# --- mmUnrolledCOMP ---
+	vmovupd	(%rdi), %ymm0	# Vld ptr_A0[0..3]
+	vmovupd	32(%rdi), %ymm1	# Vld ptr_A0[4..7]
+	vbroadcastsd	(%rdx), %ymm4	# Vdup ptr_B0[0]
+	vmulpd	%ymm0, %ymm4, %ymm2	# acc(res_u0_u0..) += A*ptr_B0[0]
+	vmulpd	%ymm1, %ymm4, %ymm3	# acc(res_u0_u4..) += A*ptr_B0[0]
+	vaddpd	%ymm2, %ymm8, %ymm8
+	vaddpd	%ymm3, %ymm9, %ymm9
+	vbroadcastsd	(%rcx), %ymm5	# Vdup ptr_B1[0]
+	vmulpd	%ymm0, %ymm5, %ymm2	# acc(res_u1_u0..) += A*ptr_B1[0]
+	vmulpd	%ymm1, %ymm5, %ymm3	# acc(res_u1_u4..) += A*ptr_B1[0]
+	vaddpd	%ymm2, %ymm10, %ymm10
+	vaddpd	%ymm3, %ymm11, %ymm11
+	vbroadcastsd	(%r8), %ymm6	# Vdup ptr_B2[0]
+	vmulpd	%ymm0, %ymm6, %ymm2	# acc(res_u2_u0..) += A*ptr_B2[0]
+	vmulpd	%ymm1, %ymm6, %ymm3	# acc(res_u2_u4..) += A*ptr_B2[0]
+	vaddpd	%ymm2, %ymm12, %ymm12
+	vaddpd	%ymm3, %ymm13, %ymm13
+	vbroadcastsd	(%r9), %ymm7	# Vdup ptr_B3[0]
+	vmulpd	%ymm0, %ymm7, %ymm2	# acc(res_u3_u0..) += A*ptr_B3[0]
+	vmulpd	%ymm1, %ymm7, %ymm3	# acc(res_u3_u4..) += A*ptr_B3[0]
+	vaddpd	%ymm2, %ymm14, %ymm14
+	vaddpd	%ymm3, %ymm15, %ymm15
+	# --- mmUnrolledCOMP ---
+	vmovupd	(%rsi), %ymm2	# Vld ptr_A1[0..3]
+	vmovupd	32(%rsi), %ymm3	# Vld ptr_A1[4..7]
+	vbroadcastsd	8(%rdx), %ymm4	# Vdup ptr_B0[1]
+	vmulpd	%ymm2, %ymm4, %ymm0	# acc(res_u0_u0..) += A*ptr_B0[1]
+	vmulpd	%ymm3, %ymm4, %ymm1	# acc(res_u0_u4..) += A*ptr_B0[1]
+	vaddpd	%ymm0, %ymm8, %ymm8
+	vaddpd	%ymm1, %ymm9, %ymm9
+	vbroadcastsd	8(%rcx), %ymm5	# Vdup ptr_B1[1]
+	vmulpd	%ymm2, %ymm5, %ymm0	# acc(res_u1_u0..) += A*ptr_B1[1]
+	vmulpd	%ymm3, %ymm5, %ymm1	# acc(res_u1_u4..) += A*ptr_B1[1]
+	vaddpd	%ymm0, %ymm10, %ymm10
+	vaddpd	%ymm1, %ymm11, %ymm11
+	vbroadcastsd	8(%r8), %ymm6	# Vdup ptr_B2[1]
+	vmulpd	%ymm2, %ymm6, %ymm0	# acc(res_u2_u0..) += A*ptr_B2[1]
+	vmulpd	%ymm3, %ymm6, %ymm1	# acc(res_u2_u4..) += A*ptr_B2[1]
+	mov	%r15, %rax
+	vaddpd	%ymm0, %ymm12, %ymm12
+	vaddpd	%ymm1, %ymm13, %ymm13
+	vbroadcastsd	8(%r9), %ymm7	# Vdup ptr_B3[1]
+	imul	$2, %rax
+	vmulpd	%ymm2, %ymm7, %ymm0	# acc(res_u3_u0..) += A*ptr_B3[1]
+	vmulpd	%ymm3, %ymm7, %ymm1	# acc(res_u3_u4..) += A*ptr_B3[1]
+	add	$16, %rdx	# ptr_B0 += 2
+	add	$16, %rcx	# ptr_B1 += 2
+	lea	(%rdi,%rax,8), %rdi	# ptr_A0 += ...
+	add	$16, %r8	# ptr_B2 += 2
+	add	$16, %r9	# ptr_B3 += 2
+	mov	%r15, %rax
+	imul	$2, %rax
+	vaddpd	%ymm0, %ymm14, %ymm14
+	vaddpd	%ymm1, %ymm15, %ymm15
+	lea	(%rsi,%rax,8), %rsi	# ptr_A1 += ...
+	add	$2, %r13
+.LBL4:
+	cmp	%r14, %r13
+	jl	.LBL5
+	# --- mmUnrolledSTORE ---
+	vmovupd	(%r10), %ymm0	# Vld ptr_C0[0..3]
+	vaddpd	%ymm8, %ymm0, %ymm0
+	vmovupd	%ymm0, (%r10)	# Vst ptr_C0[0..3]
+	vmovupd	32(%r10), %ymm1	# Vld ptr_C0[4..7]
+	vaddpd	%ymm9, %ymm1, %ymm1
+	vmovupd	%ymm1, 32(%r10)	# Vst ptr_C0[4..7]
+	# --- mmUnrolledSTORE ---
+	vmovupd	(%rbx), %ymm2	# Vld ptr_C1[0..3]
+	vaddpd	%ymm10, %ymm2, %ymm2
+	vmovupd	%ymm2, (%rbx)	# Vst ptr_C1[0..3]
+	vmovupd	32(%rbx), %ymm3	# Vld ptr_C1[4..7]
+	vaddpd	%ymm11, %ymm3, %ymm3
+	vmovupd	%ymm3, 32(%rbx)	# Vst ptr_C1[4..7]
+	# --- mmUnrolledSTORE ---
+	vmovupd	(%rbp), %ymm0	# Vld ptr_C2[0..3]
+	vaddpd	%ymm12, %ymm0, %ymm0
+	vmovupd	%ymm0, (%rbp)	# Vst ptr_C2[0..3]
+	vmovupd	32(%rbp), %ymm1	# Vld ptr_C2[4..7]
+	vaddpd	%ymm13, %ymm1, %ymm1
+	vmovupd	%ymm1, 32(%rbp)	# Vst ptr_C2[4..7]
+	# --- mmUnrolledSTORE ---
+	vmovupd	(%r12), %ymm2	# Vld ptr_C3[0..3]
+	vaddpd	%ymm14, %ymm2, %ymm2
+	vmovupd	%ymm2, (%r12)	# Vst ptr_C3[0..3]
+	vmovupd	32(%r12), %ymm3	# Vld ptr_C3[4..7]
+	vaddpd	%ymm15, %ymm3, %ymm3
+	vmovupd	%ymm3, 32(%r12)	# Vst ptr_C3[4..7]
+	add	$64, %r10	# ptr_C0 += 8
+	add	$64, %rbx	# ptr_C1 += 8
+	add	$64, %rbp	# ptr_C2 += 8
+	add	$64, %r12	# ptr_C3 += 8
+	addq	$8, 64(%rsp)
+.LBL2:
+	mov	64(%rsp), %r11	# reload i
+	cmp	%r15, %r11
+	jl	.LBL3
+	addq	$4, 56(%rsp)
+.LBL0:
+	mov	56(%rsp), %r11	# reload j
+	mov	8(%rsp), %rax
+	cmp	%rax, %r11
+	jl	.LBL1
+	add	$112, %rsp
+	pop	%rbx
+	pop	%rbp
+	pop	%r15
+	pop	%r14
+	pop	%r13
+	vzeroupper
+	pop	%r12
+	ret
+	.size dgemm_kernel, .-dgemm_kernel

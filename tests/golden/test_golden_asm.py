@@ -1,10 +1,15 @@
 """Golden-assembly snapshot tests.
 
-Every template of the paper (mmCOMP, mmSTORE, mvCOMP plus their unrolled
-variants) is generated under each of the four ISA mappings (SSE, AVX,
-FMA3, FMA4) and diffed against a committed snapshot, so any change to
-instruction selection, register allocation, or scheduling shows up as a
-reviewable assembly diff instead of a silent behavior change.
+Every built-in kernel of ``KERNEL_SOURCES`` at its ``default_config``,
+plus a few explicit configurations, is generated under each of the four
+ISA mappings (SSE, AVX, FMA3, FMA4) and diffed against a committed
+snapshot.  Together the scenarios instantiate every template in the
+``OPTIMIZERS`` table — the paper's six (mmCOMP, mmSTORE, mvCOMP and their
+unrolled variants) and the sumREDUCE / mvSCALE / mvUnrolledSCALE
+extensions — and both vectorization methods of §3.4 (Vdup and Shuf).  Any
+change to instruction selection, register allocation, or scheduling
+shows up as a reviewable assembly diff instead of a silent behavior
+change.
 
 Snapshots live beside this file as ``<scenario>__<arch>.s``.  After an
 *intentional* generator change, refresh them with::
@@ -23,27 +28,51 @@ from pathlib import Path
 
 import pytest
 
+from repro.blas.kernels import KERNEL_SOURCES
 from repro.core.framework import Augem
+from repro.core.optimizers import OPTIMIZERS
 from repro.transforms.pipeline import OptimizationConfig
 
 from tests.conftest import ALL_ARCH_SPECS
 
 GOLDEN_DIR = Path(__file__).parent
 
-#: scenario -> (kernel family, config, exported symbol, templates it covers)
+#: scenario -> (kernel family, config, strategy, exported symbol,
+#: templates it covers); a ``None`` config / symbol means the kernel's
+#: ``default_config`` / C function name
 SCENARIOS = {
     "gemm_baseline": (
-        "gemm", OptimizationConfig(), "golden_gemm",
+        "gemm", OptimizationConfig(), "auto", "golden_gemm",
         {"mmCOMP", "mmSTORE"}),
     "gemm_unrolled": (
-        "gemm", OptimizationConfig(unroll_jam=(("j", 2), ("i", 4))),
+        "gemm", OptimizationConfig(unroll_jam=(("j", 2), ("i", 4))), "auto",
         "golden_gemm_u",
         {"mmUnrolledCOMP", "mmUnrolledSTORE"}),
     "gemv_baseline": (
-        "gemv", OptimizationConfig(), "golden_gemv", {"mvCOMP"}),
+        "gemv", OptimizationConfig(), "auto", "golden_gemv", {"mvCOMP"}),
     "axpy_unrolled": (
-        "axpy", OptimizationConfig(unroll=(("i", 4),)), "golden_axpy_u",
-        {"mvUnrolledCOMP"}),
+        "axpy", OptimizationConfig(unroll=(("i", 4),)), "auto",
+        "golden_axpy_u", {"mvUnrolledCOMP"}),
+    "scal_baseline": (
+        "scal", OptimizationConfig(), "auto", None, {"mvSCALE"}),
+    # the Shuf method (paper Fig. 9) and its un-permuting store
+    "gemm_shuf_method": (
+        "gemm_shuf", None, "shuf", None,
+        {"mmUnrolledCOMP", "mmUnrolledSTORE"}),
+    # every built-in kernel as the library generates it
+    "gemm_default": (
+        "gemm", None, "auto", None, {"mmUnrolledCOMP", "mmUnrolledSTORE"}),
+    "gemm_shuf_default": (
+        "gemm_shuf", None, "auto", None,
+        {"mmUnrolledCOMP", "mmUnrolledSTORE"}),
+    "gemv_default": ("gemv", None, "auto", None, {"mvUnrolledCOMP"}),
+    "gemv_n_default": (
+        "gemv_n", None, "auto", None,
+        {"mmUnrolledCOMP", "sumREDUCE", "mmSTORE"}),
+    "axpy_default": ("axpy", None, "auto", None, {"mvUnrolledCOMP"}),
+    "dot_default": (
+        "dot", None, "auto", None, {"mmUnrolledCOMP", "sumREDUCE"}),
+    "scal_default": ("scal", None, "auto", None, {"mvUnrolledSCALE"}),
 }
 
 _LABEL = re.compile(r"\.L[A-Za-z0-9_$.]*")
@@ -76,8 +105,9 @@ def _snapshot_path(scenario: str, arch_name: str) -> Path:
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("arch", ALL_ARCH_SPECS, ids=lambda a: a.name)
 def test_golden_asm(scenario, arch, request):
-    kernel, config, symbol, expected_templates = SCENARIOS[scenario]
-    gk = Augem(arch=arch).generate_named(kernel, config=config, name=symbol)
+    kernel, config, strategy, symbol, expected_templates = SCENARIOS[scenario]
+    gk = Augem(arch=arch).generate_named(kernel, config=config,
+                                         strategy=strategy, name=symbol)
 
     # the scenario must actually exercise the templates it claims to cover
     missing = expected_templates - set(gk.template_counts)
@@ -100,6 +130,17 @@ def test_golden_asm(scenario, arch, request):
         f"--update-golden and review the snapshot diff")
 
 
+def test_every_builtin_kernel_has_a_default_scenario():
+    defaults = {kernel for kernel, config, strategy, _, _ in
+                SCENARIOS.values() if config is None and strategy == "auto"}
+    assert defaults == set(KERNEL_SOURCES)
+
+
+def test_scenarios_cover_every_template():
+    covered = set().union(*(s[-1] for s in SCENARIOS.values()))
+    assert covered == set(OPTIMIZERS)
+
+
 def test_normalize_asm_is_structure_preserving():
     a = ".L_top:\n jmp .L_top\n jne .L_done\n.L_done:\n"
     b = ".L_x:\n jmp .L_x\n jne .L_y\n.L_y:\n"
@@ -109,7 +150,7 @@ def test_normalize_asm_is_structure_preserving():
 
 
 def test_generation_is_deterministic():
-    kernel, config, symbol, _ = SCENARIOS["gemm_baseline"]
+    kernel, config, _, symbol, _ = SCENARIOS["gemm_baseline"]
     first = Augem(arch=ALL_ARCH_SPECS[0]).generate_named(
         kernel, config=config, name=symbol).asm_text
     second = Augem(arch=ALL_ARCH_SPECS[0]).generate_named(
