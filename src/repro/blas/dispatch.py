@@ -87,15 +87,6 @@ class Tier:
 REFERENCE_TIER = Tier(REFERENCE_TIER_NAME, None)
 
 
-def _rank(arch: ArchSpec) -> int:
-    """Capability rank: FMA > AVX > SSE."""
-    if arch.has_fma:
-        return 3
-    if arch.simd == "avx":
-        return 2
-    return 1
-
-
 def capability_chain(top: Optional[ArchSpec] = None) -> List[Tier]:
     """The ordered fallback chain starting at (and including) ``top``.
 
@@ -105,7 +96,7 @@ def capability_chain(top: Optional[ArchSpec] = None) -> List[Tier]:
     """
     top = top or detect_host()
     specs = [top] + [a for a in (SANDYBRIDGE, GENERIC_SSE)
-                     if _rank(a) < _rank(top)]
+                     if a.capability_rank < top.capability_rank]
     return [Tier(a.name, a) for a in specs] + [REFERENCE_TIER]
 
 

@@ -339,28 +339,8 @@ class KernelCodeGen:
         if not loc.is_lane:
             return loc.reg, (lambda: None)
         tmp = self.alloc.alloc_temp_reg()
-        self._extract_lane(loc.reg, loc.lane, tmp)
+        self.emit(self.map.extract_lane(loc.reg, loc.lane, tmp))
         return tmp, (lambda: self.alloc.free_reg(tmp))
-
-    def _extract_lane(self, src: Register, lane: int, dst: Register) -> None:
-        avx = self.arch.simd == "avx"
-        wide = self.arch.vector_bytes == 32
-        if lane >= 2 and not wide:
-            raise CodegenError("lane >= 2 requires 256-bit registers")
-        if wide and lane >= 2:
-            self.emit(instr("vextractf128", Imm(1), src.ymm, dst.xmm))
-            if lane == 3:
-                self.emit(instr("vunpckhpd", dst.xmm, dst.xmm, dst.xmm))
-            return
-        if avx:
-            if lane == 0:
-                self.emit(instr("vmovapd", src.xmm, dst.xmm))
-            else:
-                self.emit(instr("vunpckhpd", src.xmm, src.xmm, dst.xmm))
-            return
-        self.emit(instr("movapd", src.xmm, dst.xmm))
-        if lane == 1:
-            self.emit(instr("unpckhpd", dst.xmm, dst.xmm))
 
     def pack_reg(self, members: List[str]) -> Register:
         """Register of the realized pack holding exactly ``members``."""
@@ -484,10 +464,7 @@ class KernelCodeGen:
             elif e.op == "*":
                 self.emit(self.map.mul_scalar(right, acc))
             else:
-                if self.arch.simd == "avx":
-                    self.emit(instr("vsubsd", right.xmm, acc.xmm, acc.xmm))
-                else:
-                    self.emit(instr("subsd", right.xmm, acc.xmm))
+                self.emit(self.map.sub_scalar(right, acc))
             clean_r()
             return acc, (lambda: self.alloc.free_reg(acc))
         raise CodegenError(f"cannot evaluate float expression: {e}")
@@ -541,8 +518,7 @@ class KernelCodeGen:
     def _epilogue(self) -> None:
         if self._used_epilogue_label:
             self.items.append(Label(self._epilogue_label))
-        if self.arch.simd == "avx" and self.arch.vector_bytes == 32:
-            self.emit(instr("vzeroupper"))
+        self.emit(self.map.epilogue())
         if self.frame_size:
             self.emit(instr("add", Imm(self.frame_size), RSP))
         from ..isa.registers import GP

@@ -389,14 +389,7 @@ def optimize_mv_scale(cg, region: C.TaggedRegion, payload) -> None:
         xv = cg.alloc.alloc_temp_reg(array_root(ptr))
         cg.emit(cg.map.vload(cg.addr(ptr, off), xv,
                              comment=f"Vld {ptr}[{off}..{off + n - 1}]"))
-        if cg.arch.simd == "avx":
-            v = cg.arch.vector_bytes
-            from ..isa.instructions import instr as _instr
-
-            cg.emit(_instr("vmulpd", rscal.as_width(v), xv.as_width(v),
-                           xv.as_width(v)))
-        else:
-            cg.emit(cg.map.vmul_into(xv, rscal, xv))  # xv *= scal in place
+        cg.emit(cg.map.vmul_into(rscal, xv, xv))  # xv *= scal in place
         cg.emit(cg.map.vstore(xv, cg.addr(ptr, off),
                               comment=f"Vst {ptr}[{off}..{off + n - 1}]"))
         cg.alloc.free_reg(xv)

@@ -9,17 +9,20 @@ semantics independently of the native toolchain.
 Supported: the GP/SSE/AVX/FMA vocabulary in
 :data:`repro.isa.instructions.INSTR_INFO`.  Vector registers are modelled
 as four float64 lanes; VEX-encoded 128-bit writes zero the upper lanes,
-legacy SSE writes preserve them, matching hardware.
+legacy SSE writes preserve them, matching hardware.  Legacy forms run
+through the VEX handlers by the encoding rule of
+:mod:`repro.isa.instructions`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..isa.instructions import Instr, Item, Label
+from ..isa.instructions import Instr, Item, Label, vex_operands
 from ..isa.operands import Imm, LabelRef, Mem
 from ..isa.registers import Register
 from .memory import Memory
@@ -31,6 +34,11 @@ _S64_MAX = 2 ** 63 - 1
 def _to_signed(v: int) -> int:
     v &= _U64 - 1
     return v - _U64 if v > _S64_MAX else v
+
+
+#: arithmetic of the ``add``/``sub``/``mul``/``div`` ``sd``/``pd`` ops
+_ARITH = {"add": operator.add, "sub": operator.sub,
+          "mul": operator.mul, "div": operator.truediv}
 
 
 class EmuError(RuntimeError):
@@ -266,8 +274,15 @@ class Machine:
             return pc + 1
 
         # ---- SSE / AVX ------------------------------------------------------
+        # One handler per operation, keyed by the mnemonic without its VEX
+        # ``v``.  Legacy SSE forms take their VEX twin's operand layout by
+        # the encoding rule (``op src, dst`` is ``vop src, dst, dst``) and
+        # differ only in keeping the upper lanes (``vex=False``).
         vex = mn.startswith("v")
-        if mn in ("movsd", "vmovsd"):
+        op = mn[1:] if vex else mn
+        if not vex:
+            ops = vex_operands(ins)
+        if op == "movsd":
             src, dst = ops
             if isinstance(dst, Mem):
                 self.mem.write_f64(self._mem_addr(dst),
@@ -284,101 +299,45 @@ class Machine:
                 if vex:
                     v[2:] = 0.0  # VEX reg-reg merge still zeroes the uppers
             return pc + 1
-        if mn in ("movapd", "movupd", "vmovapd", "vmovupd"):
+        if op in ("movapd", "movupd"):
             src, dst = ops
             lanes = self._lanes(dst if isinstance(dst, Register) else src)
             vals = self._read_vec(src, lanes)
             self._write_vec(dst, vals, vex)
             return pc + 1
-        if mn in ("movddup", "vmovddup"):
+        if op == "movddup":
             src, dst = ops
-            val = (self.mem.read_f64(self._mem_addr(src), 1)[0]
-                   if isinstance(src, Mem) else self._vreg(src)[0])
+            val = self._read_vec(src, 1)[0]
             self._write_vec(dst, np.array([val, val]), vex)
             return pc + 1
-        if mn == "vbroadcastsd":
+        if op == "broadcastsd":
             src, dst = ops
             val = self.mem.read_f64(self._mem_addr(src), 1)[0]
             self._write_vec(dst, np.full(self._lanes(dst), val), vex)
             return pc + 1
-        if mn in ("addsd", "subsd", "mulsd", "divsd"):
-            src, dst = ops
-            a = (self.mem.read_f64(self._mem_addr(src), 1)[0]
-                 if isinstance(src, Mem) else self._vreg(src)[0])
-            d = self._vreg(dst)
-            if mn == "addsd":
-                d[0] = d[0] + a
-            elif mn == "subsd":
-                d[0] = d[0] - a
-            elif mn == "mulsd":
-                d[0] = d[0] * a
-            else:
-                d[0] = d[0] / a
-            return pc + 1
-        if mn in ("addpd", "subpd", "mulpd"):
-            src, dst = ops
-            a = self._read_vec(src, 2)
-            d = self._vreg(dst)
-            if mn == "addpd":
-                d[:2] = d[:2] + a
-            elif mn == "subpd":
-                d[:2] = d[:2] - a
-            else:
-                d[:2] = d[:2] * a
-            return pc + 1
-        if mn == "xorpd":
-            src, dst = ops
-            a = self._read_vec(src, 2)
-            d = self._vreg(dst)
-            bits = (np.frombuffer(d[:2].tobytes(), np.uint64)
-                    ^ np.frombuffer(a.tobytes(), np.uint64))
-            d[:2] = np.frombuffer(bits.tobytes(), np.float64)
-            return pc + 1
-        if mn in ("vaddsd", "vsubsd", "vmulsd"):
+        if op in ("addsd", "subsd", "mulsd", "divsd"):
             s1, s2, dst = ops
-            a = (self.mem.read_f64(self._mem_addr(s1), 1)[0]
-                 if isinstance(s1, Mem) else self._vreg(s1)[0])
-            b = self._vreg(s2)[0]
-            if mn == "vaddsd":
-                r = b + a
-            elif mn == "vsubsd":
-                r = b - a
-            else:
-                r = b * a
-            out = self._vreg(s2).copy()
-            out[0] = r
-            self._write_vec(dst, out[:2], vex=True)
+            out = self._read_vec(s2, 2)
+            out[0] = _ARITH[op[:3]](out[0], self._read_vec(s1, 1)[0])
+            self._write_vec(dst, out, vex)
             return pc + 1
-        if mn in ("vaddpd", "vsubpd", "vmulpd"):
+        if op in ("addpd", "subpd", "mulpd"):
             s1, s2, dst = ops
             lanes = self._lanes(dst)
-            a = self._read_vec(s1, lanes)
-            b = self._read_vec(s2, lanes)
-            if mn == "vaddpd":
-                r = b + a
-            elif mn == "vsubpd":
-                r = b - a
-            else:
-                r = b * a
-            self._write_vec(dst, r, vex=True)
+            r = _ARITH[op[:3]](self._read_vec(s2, lanes),
+                               self._read_vec(s1, lanes))
+            self._write_vec(dst, r, vex)
             return pc + 1
-        if mn == "vxorpd":
+        if op == "xorpd":
             s1, s2, dst = ops
             lanes = self._lanes(dst)
             a = self._read_vec(s1, lanes)
             b = self._read_vec(s2, lanes)
             r = (np.frombuffer(b.tobytes(), np.uint64)
                  ^ np.frombuffer(a.tobytes(), np.uint64))
-            self._write_vec(dst, np.frombuffer(r.tobytes(), np.float64), vex=True)
+            self._write_vec(dst, np.frombuffer(r.tobytes(), np.float64), vex)
             return pc + 1
-        if mn == "shufpd":
-            imm, src, dst = ops
-            i = imm.value
-            d = self._vreg(dst)
-            s = self._read_vec(src, 2)
-            d[:2] = np.array([d[i & 1], s[(i >> 1) & 1]])
-            return pc + 1
-        if mn == "vshufpd":
+        if op == "shufpd":
             imm, s2, s1, dst = ops
             i = imm.value
             lanes = self._lanes(dst)
@@ -389,18 +348,18 @@ class Machine:
                 base = lane_pair * 2
                 out[base] = a[base + ((i >> base) & 1)]
                 out[base + 1] = b[base + ((i >> (base + 1)) & 1)]
-            self._write_vec(dst, out, vex=True)
+            self._write_vec(dst, out, vex)
             return pc + 1
-        if mn == "vblendpd":
+        if op == "blendpd":
             imm, s2, s1, dst = ops
             lanes = self._lanes(dst)
             a = self._read_vec(s1, lanes)
             b = self._read_vec(s2, lanes)
             out = np.array([b[k] if (imm.value >> k) & 1 else a[k]
                             for k in range(lanes)])
-            self._write_vec(dst, out, vex=True)
+            self._write_vec(dst, out, vex)
             return pc + 1
-        if mn == "vpermilpd":
+        if op == "permilpd":
             imm, src, dst = ops
             i = imm.value
             lanes = self._lanes(dst)
@@ -409,9 +368,9 @@ class Machine:
             for k in range(lanes):
                 base = (k // 2) * 2
                 out[k] = s[base + ((i >> k) & 1)]
-            self._write_vec(dst, out, vex=True)
+            self._write_vec(dst, out, vex)
             return pc + 1
-        if mn == "vperm2f128":
+        if op == "perm2f128":
             imm, s2, s1, dst = ops
             i = imm.value
             a = self._read_vec(s1, 4)
@@ -419,15 +378,15 @@ class Machine:
             halves = [a[0:2], a[2:4], b[0:2], b[2:4]]
             lo = halves[i & 3] if not (i & 0x8) else np.zeros(2)
             hi = halves[(i >> 4) & 3] if not (i & 0x80) else np.zeros(2)
-            self._write_vec(dst, np.concatenate([lo, hi]), vex=True)
+            self._write_vec(dst, np.concatenate([lo, hi]), vex)
             return pc + 1
-        if mn == "vextractf128":
+        if op == "extractf128":
             imm, src, dst = ops
             s = self._read_vec(src, 4)
             half = s[2:4] if imm.value & 1 else s[0:2]
-            self._write_vec(dst, half, vex=True)
+            self._write_vec(dst, half, vex)
             return pc + 1
-        if mn == "vinsertf128":
+        if op == "insertf128":
             imm, s2, s1, dst = ops
             a = self._read_vec(s1, 4)
             b = self._read_vec(s2, 2)
@@ -436,35 +395,22 @@ class Machine:
                 out[2:4] = b
             else:
                 out[0:2] = b
-            self._write_vec(dst, out, vex=True)
+            self._write_vec(dst, out, vex)
             return pc + 1
-        if mn in ("unpcklpd", "unpckhpd"):
-            src, dst = ops
-            d = self._vreg(dst)
-            s = self._read_vec(src, 2)
-            k = 0 if mn == "unpcklpd" else 1
-            d[:2] = np.array([d[k], s[k]])
-            return pc + 1
-        if mn in ("vunpcklpd", "vunpckhpd"):
+        if op in ("unpcklpd", "unpckhpd"):
             s2, s1, dst = ops
             lanes = self._lanes(dst)
             a = self._read_vec(s1, lanes)
             b = self._read_vec(s2, lanes)
-            k = 0 if mn == "vunpcklpd" else 1
+            k = 0 if op == "unpcklpd" else 1
             out = np.empty(lanes)
             for lane_pair in range(lanes // 2):
                 base = lane_pair * 2
                 out[base] = a[base + k]
                 out[base + 1] = b[base + k]
-            self._write_vec(dst, out, vex=True)
+            self._write_vec(dst, out, vex)
             return pc + 1
-        if mn == "haddpd":
-            src, dst = ops
-            d = self._vreg(dst)
-            s = self._read_vec(src, 2)
-            d[:2] = np.array([d[0] + d[1], s[0] + s[1]])
-            return pc + 1
-        if mn == "vhaddpd":
+        if op == "haddpd":
             s2, s1, dst = ops
             lanes = self._lanes(dst)
             a = self._read_vec(s1, lanes)
@@ -474,46 +420,45 @@ class Machine:
                 base = lane_pair * 2
                 out[base] = a[base] + a[base + 1]
                 out[base + 1] = b[base] + b[base + 1]
-            self._write_vec(dst, out, vex=True)
+            self._write_vec(dst, out, vex)
             return pc + 1
-        if mn in ("vfmadd231pd", "vfmadd213pd", "vfmadd132pd"):
+        if op in ("fmadd231pd", "fmadd213pd", "fmadd132pd"):
             s1, s2, dst = ops
             lanes = self._lanes(dst)
             a = self._read_vec(s1, lanes)
             b = self._read_vec(s2, lanes)
             d = self._read_vec(dst, lanes)
-            if mn == "vfmadd231pd":  # dst = dst + s2*s1
+            if op == "fmadd231pd":  # dst = dst + s2*s1
                 r = _fma(b, a, d)
-            elif mn == "vfmadd213pd":  # dst = s2*dst + s1
+            elif op == "fmadd213pd":  # dst = s2*dst + s1
                 r = _fma(b, d, a)
             else:  # 132: dst = dst*s1 + s2
                 r = _fma(d, a, b)
-            self._write_vec(dst, r, vex=True)
+            self._write_vec(dst, r, vex)
             return pc + 1
-        if mn == "vfmadd231sd":
+        if op == "fmadd231sd":
             s1, s2, dst = ops
-            a = self._vreg(s1)[0]
-            b = self._vreg(s2)[0]
-            d = self._vreg(dst)
-            d[0] = _fma(np.array([b]), np.array([a]), np.array([d[0]]))[0]
-            d[2:] = 0.0  # VEX-128 write zeroes the upper lanes
+            out = self._read_vec(dst, 2)
+            out[0] = _fma(self._read_vec(s2, 1), self._read_vec(s1, 1),
+                          out[:1])[0]
+            self._write_vec(dst, out, vex)
             return pc + 1
-        if mn in ("vfmaddpd", "vfmaddsd"):
+        if op in ("fmaddpd", "fmaddsd"):
             # AT&T: vfmaddpd src3, src2, src1, dst -> dst = src1*src2 + src3
             s3, s2, s1, dst = ops
-            lanes = self._lanes(dst) if mn == "vfmaddpd" else 1
+            lanes = self._lanes(dst) if op == "fmaddpd" else 1
             a = self._read_vec(s1, lanes)
             b = self._read_vec(s2, lanes)
             c = self._read_vec(s3, lanes)
             r = _fma(a, b, c)
-            if mn == "vfmaddsd":
+            if op == "fmaddsd":
                 out = self._vreg(s1).copy()  # lane 1 comes from src1
                 out[0] = r[0]
-                self._write_vec(dst, out[:2], vex=True)
+                self._write_vec(dst, out[:2], vex)
             else:
-                self._write_vec(dst, r, vex=True)
+                self._write_vec(dst, r, vex)
             return pc + 1
-        if mn == "ucomisd":
+        if op == "ucomisd":
             src, dst = ops
             a = self._vreg(src)[0]
             d = self._vreg(dst)[0]

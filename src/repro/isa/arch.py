@@ -54,6 +54,13 @@ class ArchSpec:
     def has_fma(self) -> bool:
         return self.fma is not None
 
+    @property
+    def capability_rank(self) -> int:
+        """FMA > AVX > SSE — the order the dispatch chain demotes in."""
+        if self.has_fma:
+            return 3
+        return 2 if self.simd == "avx" else 1
+
     def __str__(self) -> str:
         fma = self.fma or "no-fma"
         return f"{self.name}({self.simd}{self.vector_bytes * 8},{fma})"

@@ -36,6 +36,53 @@ class InstrInfo:
 
 _I = InstrInfo
 
+
+# -- the SSE/VEX encoding rule ----------------------------------------------
+#
+# A legacy SSE ``op src, dst`` is the VEX ``vop src, dst, dst`` on the low
+# 128 bits, except that it keeps the upper lanes where VEX zeroes them.
+# Legacy moves (no destination read) keep their operands.  Everything
+# encoding-specific — the VEX rows of the table, the lowering in
+# :mod:`repro.isa.mapping`, the emulator's handling of legacy forms — is
+# derived from this rule.
+
+
+def vex_roles(roles: Tuple[str, ...]) -> Tuple[str, ...]:
+    """Operand roles of the VEX twin of a legacy op with ``roles``."""
+    out: Tuple[str, ...] = ()
+    for role in roles:
+        out += ("R", "W") if role == "M" else (role,)
+    return out
+
+
+def vex_operands(ins: "Instr") -> Tuple[Operand, ...]:
+    """``ins``'s operands laid out as its VEX twin's (the rule above)."""
+    roles, ops = ins.info.roles, ins.operands
+    if "M" not in roles:
+        return ops
+    k = roles.index("M")
+    return ops[:k + 1] + ops[k:]
+
+
+#: Legacy SSE double-precision ops that have a VEX twin (``"v" + op``).
+_SSE_TWINNED = {
+    "movsd":   _I(("R", "W"), latency=3),
+    "movupd":  _I(("R", "W"), latency=3),
+    "movapd":  _I(("R", "W"), latency=3),
+    "movddup": _I(("R", "W"), latency=3),
+    "addsd":   _I(("R", "M"), latency=3),
+    "subsd":   _I(("R", "M"), latency=3),
+    "mulsd":   _I(("R", "M"), latency=5),
+    "addpd":   _I(("R", "M"), latency=3),
+    "subpd":   _I(("R", "M"), latency=3),
+    "mulpd":   _I(("R", "M"), latency=5),
+    "xorpd":   _I(("R", "M")),
+    "shufpd":  _I(("I", "R", "M")),
+    "unpcklpd": _I(("R", "M")),
+    "unpckhpd": _I(("R", "M")),
+    "haddpd":  _I(("R", "M"), latency=5),
+}
+
 #: mnemonic -> operand roles in AT&T order.
 INSTR_INFO = {
     # -- GP ----------------------------------------------------------------
@@ -67,47 +114,20 @@ INSTR_INFO = {
     "jge":   _I(("R",), is_branch=True, reads_flags=True),
     "ret":   _I((), is_branch=True),
     "nop":   _I(()),
-    # -- SSE scalar double ---------------------------------------------------
-    "movsd":  _I(("R", "W"), latency=3),
-    "addsd":  _I(("R", "M"), latency=3),
-    "subsd":  _I(("R", "M"), latency=3),
-    "mulsd":  _I(("R", "M"), latency=5),
+    # -- legacy SSE only (no VEX twin in the modelled vocabulary) ------------
     "divsd":  _I(("R", "M"), latency=14),
     "ucomisd": _I(("R", "R"), writes_flags=True),
-    # -- SSE packed double -----------------------------------------------------
-    "movupd":  _I(("R", "W"), latency=3),
-    "movapd":  _I(("R", "W"), latency=3),
-    "movddup": _I(("R", "W"), latency=3),
-    "addpd":   _I(("R", "M"), latency=3),
-    "subpd":   _I(("R", "M"), latency=3),
-    "mulpd":   _I(("R", "M"), latency=5),
-    "xorpd":   _I(("R", "M")),
-    "shufpd":  _I(("I", "R", "M")),
-    "unpcklpd": _I(("R", "M")),
-    "unpckhpd": _I(("R", "M")),
-    "haddpd":  _I(("R", "M"), latency=5),
-    # -- AVX ----------------------------------------------------------------
-    "vmovsd":       _I(("R", "W"), latency=3),
-    "vmovupd":      _I(("R", "W"), latency=3),
-    "vmovapd":      _I(("R", "W"), latency=3),
-    "vmovddup":     _I(("R", "W")),
+    # -- legacy SSE with VEX twins, and the twins derived from them ----------
+    **_SSE_TWINNED,
+    **{"v" + mn: _I(vex_roles(info.roles), latency=info.latency)
+       for mn, info in _SSE_TWINNED.items()},
+    # -- VEX only -----------------------------------------------------------
     "vbroadcastsd": _I(("R", "W"), latency=3),
-    "vaddpd":  _I(("R", "R", "W"), latency=3),
-    "vsubpd":  _I(("R", "R", "W"), latency=3),
-    "vmulpd":  _I(("R", "R", "W"), latency=5),
-    "vaddsd":  _I(("R", "R", "W"), latency=3),
-    "vsubsd":  _I(("R", "R", "W"), latency=3),
-    "vmulsd":  _I(("R", "R", "W"), latency=5),
-    "vxorpd":  _I(("R", "R", "W")),
-    "vshufpd": _I(("I", "R", "R", "W")),
     "vblendpd": _I(("I", "R", "R", "W")),
     "vpermilpd": _I(("I", "R", "W")),
     "vperm2f128": _I(("I", "R", "R", "W"), latency=3),
     "vextractf128": _I(("I", "R", "W"), latency=3),
     "vinsertf128": _I(("I", "R", "R", "W"), latency=3),
-    "vunpcklpd": _I(("R", "R", "W")),
-    "vunpckhpd": _I(("R", "R", "W")),
-    "vhaddpd":  _I(("R", "R", "W"), latency=5),
     "vzeroupper": _I(()),
     # -- FMA -------------------------------------------------------------------
     "vfmadd231pd": _I(("R", "R", "M"), latency=5),
