@@ -33,8 +33,7 @@ class Register:
         """Same physical vector register at a different width."""
         if self.kind != "vec":
             raise ValueError("as_width applies to vector registers")
-        prefix = "xmm" if width == 16 else "ymm"
-        return Register(f"{prefix}{self.index}", "vec", width)
+        return vec(self.index, width)
 
     @property
     def xmm(self) -> "Register":
@@ -51,8 +50,13 @@ GP_ORDER = [
 ]
 
 GP = {n: Register(n, "gp", 8) for n in GP_ORDER}
-XMM = {f"xmm{i}": Register(f"xmm{i}", "vec", 16) for i in range(16)}
-YMM = {f"ymm{i}": Register(f"ymm{i}", "vec", 32) for i in range(16)}
+#: vector width in bytes -> register file (index -> register)
+_VEC_FILES = {
+    width: tuple(Register(f"{prefix}{i}", "vec", width) for i in range(16))
+    for width, prefix in ((16, "xmm"), (32, "ymm"))
+}
+XMM = {r.name: r for r in _VEC_FILES[16]}
+YMM = {r.name: r for r in _VEC_FILES[32]}
 
 RAX, RCX, RDX, RBX = GP["rax"], GP["rcx"], GP["rdx"], GP["rbx"]
 RSP, RBP, RSI, RDI = GP["rsp"], GP["rbp"], GP["rsi"], GP["rdi"]
@@ -61,20 +65,19 @@ R12, R13, R14, R15 = GP["r12"], GP["r13"], GP["r14"], GP["r15"]
 
 
 def xmm(i: int) -> Register:
-    return XMM[f"xmm{i}"]
+    return _VEC_FILES[16][i]
 
 
 def ymm(i: int) -> Register:
-    return YMM[f"ymm{i}"]
+    return _VEC_FILES[32][i]
 
 
 def vec(i: int, width: int) -> Register:
     """Vector register ``i`` at the given width (16 -> xmm, 32 -> ymm)."""
-    if width == 16:
-        return xmm(i)
-    if width == 32:
-        return ymm(i)
-    raise ValueError(f"unsupported vector width {width}")
+    try:
+        return _VEC_FILES[width][i]
+    except KeyError:
+        raise ValueError(f"unsupported vector width {width}") from None
 
 
 class SysVABI:

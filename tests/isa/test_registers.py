@@ -32,6 +32,21 @@ def test_as_width_rejects_gp():
         GP["rax"].as_width(32)
 
 
+@pytest.mark.parametrize("width", [8, 64, 0])
+def test_as_width_rejects_unknown_width(width):
+    with pytest.raises(ValueError, match="unsupported vector width"):
+        xmm(3).as_width(width)
+    with pytest.raises(ValueError, match="unsupported vector width"):
+        ymm(3).as_width(width)
+
+
+def test_as_width_round_trips_known_widths():
+    for width, reg in ((16, xmm(3)), (32, ymm(3))):
+        assert xmm(3).as_width(width) == reg
+        assert ymm(3).as_width(width) == reg
+        assert reg.width == width
+
+
 def test_vec_constructor():
     assert vec(2, 16) == xmm(2)
     assert vec(2, 32) == ymm(2)
