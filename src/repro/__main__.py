@@ -149,7 +149,10 @@ def cmd_validate(args) -> int:
         call_items(items, [n, 2.0, x])
         ok = np.allclose(x, ref)
     elif kernel in ("gemv", "gemv_n"):
-        m, n, lda = args.m or 16, 8, 24
+        # N = 64 is a multiple of every default unroll factor of j (the
+        # generated gemv_n kernels assume N divisible by theirs)
+        m, n = args.m or 16, 64
+        lda = max(m, n) + 8
         a = rng.standard_normal((n if kernel == "gemv" else m) * lda)
         if kernel == "gemv":
             x = rng.standard_normal(n)

@@ -34,6 +34,15 @@ def test_generate_to_file_and_validate(tmp_path):
     assert main(["validate", str(path), "--kernel", "gemm"]) == 0
 
 
+def test_generate_gemv_n_and_validate(tmp_path):
+    # the default gemv_n kernel unrolls j by 16 on 256-bit archs and
+    # assumes N divisible by it; validate must pick a compatible N
+    path = tmp_path / "gemv_n.S"
+    assert main(["generate", "gemv_n", "--arch", "haswell",
+                 "-o", str(path)]) == 0
+    assert main(["validate", str(path), "--kernel", "gemv_n"]) == 0
+
+
 def test_generate_custom_config(tmp_path):
     path = tmp_path / "dot.S"
     assert main(["generate", "dot", "--unroll", "i=8", "--split", "res=8",
