@@ -65,11 +65,11 @@ R12, R13, R14, R15 = GP["r12"], GP["r13"], GP["r14"], GP["r15"]
 
 
 def xmm(i: int) -> Register:
-    return _VEC_FILES[16][i]
+    return XMM[f"xmm{i}"]
 
 
 def ymm(i: int) -> Register:
-    return _VEC_FILES[32][i]
+    return YMM[f"ymm{i}"]
 
 
 def vec(i: int, width: int) -> Register:
