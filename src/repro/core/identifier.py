@@ -277,7 +277,7 @@ class TemplateIdentifier:
                 raw = stmts[i:j]
                 for group in _group_stores(run):
                     name = "mmUnrolledSTORE" if len(group.stores) > 1 else "mmSTORE"
-                    grp_stmts = self._stmts_of_stores(group, raw)
+                    grp_stmts = self._stmts_of_stores(group, run, raw)
                     out.append(self._tag(name, grp_stmts, group))
                 i = j
                 continue
@@ -323,21 +323,20 @@ class TemplateIdentifier:
         return out
 
     @staticmethod
-    def _stmts_of_stores(group: UnrolledStore, raw: List[C.Node]) -> List[C.Node]:
-        """Original statements belonging to this store group (3 per store)."""
+    def _stmts_of_stores(group: UnrolledStore, run: List[MMStore],
+                         raw: List[C.Node]) -> List[C.Node]:
+        """Original statements belonging to this store group (3 per store).
+
+        ``run[k]`` was matched on ``raw[3k:3k+3]``; a store takes the first
+        window with its ``(c_ptr, c_off, res)``.
+        """
+        windows: dict = {}
+        for k, store in enumerate(run):
+            windows.setdefault((store.c_ptr, store.c_off, store.res),
+                               raw[3 * k:3 * k + 3])
         grp_stmts: List[C.Node] = []
         for store in group.stores:
-            for k in range(0, len(raw), 3):
-                window = raw[k:k + 3]
-                cand = match_mm_store(window, 0)
-                if (
-                    cand is not None
-                    and cand.c_ptr == store.c_ptr
-                    and cand.c_off == store.c_off
-                    and cand.res == store.res
-                ):
-                    grp_stmts.extend(window)
-                    break
+            grp_stmts.extend(windows.get((store.c_ptr, store.c_off, store.res), ()))
         return grp_stmts
 
 

@@ -33,7 +33,7 @@ class Liveness:
         self._counter = 0
         for p in fn.params:
             self._mention(p.name, 0)
-        self._walk_block(fn.body, [])
+        self._walk_block(fn.body)
 
     # -- construction ----------------------------------------------------
     def _next(self) -> int:
@@ -48,49 +48,45 @@ class Liveness:
             r.start = min(r.start, pos)
             r.end = max(r.end, pos)
 
-    def _mention_all(self, node: C.Node, pos: int, loop_ends: List[int]) -> None:
-        for n in node.walk():
-            if isinstance(n, C.Id):
-                self._mention(n.name, pos)
-            elif isinstance(n, C.Decl):
-                self._mention(n.name, pos)
+    def _mention_all(self, node: C.Node, pos: int) -> List[str]:
+        """Mention every variable ``node`` names at ``pos``; return them."""
+        names = [n.name for n in node.walk()
+                 if isinstance(n, (C.Id, C.Decl))]
+        for name in names:
+            self._mention(name, pos)
+        return names
 
-    def _extend_loop_vars(self, node: C.Node, end_pos: int) -> None:
-        for n in node.walk():
-            name = None
-            if isinstance(n, C.Id):
-                name = n.name
-            elif isinstance(n, C.Decl):
-                name = n.name
-            if name is not None:
-                r = self._range.get(name)
-                if r is not None:
-                    r.end = max(r.end, end_pos)
-
-    def _walk_block(self, block: C.Block, loop_stack: List[C.For]) -> None:
+    def _walk_block(self, block: C.Block) -> Set[str]:
+        """Number ``block``'s statements; return the names they mention."""
+        names: Set[str] = set()
         for s in block.stmts:
             pos = self._next()
             self._pos[id(s)] = pos
             if isinstance(s, C.For):
+                inner: Set[str] = set()
                 for part in (s.init, s.cond, s.step):
                     if part is not None:
-                        self._mention_all(part, pos, [])
-                self._walk_block(s.body, loop_stack + [s])
+                        inner.update(self._mention_all(part, pos))
+                inner |= self._walk_block(s.body)
                 end_pos = self._next()
                 # everything mentioned inside the loop lives to its end
-                self._extend_loop_vars(s, end_pos)
+                for name in inner:
+                    r = self._range[name]
+                    r.end = max(r.end, end_pos)
+                names |= inner
             elif isinstance(s, C.If):
-                self._mention_all(s.cond, pos, [])
-                self._walk_block(s.then, loop_stack)
+                names.update(self._mention_all(s.cond, pos))
+                names |= self._walk_block(s.then)
                 if s.els is not None:
-                    self._walk_block(s.els, loop_stack)
+                    names |= self._walk_block(s.els)
             elif isinstance(s, C.Block):
-                self._walk_block(s, loop_stack)
+                names |= self._walk_block(s)
             elif isinstance(s, C.TaggedRegion):
-                for inner in s.stmts:
-                    self._mention_all(inner, pos, [])
+                for inner_stmt in s.stmts:
+                    names.update(self._mention_all(inner_stmt, pos))
             else:
-                self._mention_all(s, pos, [])
+                names.update(self._mention_all(s, pos))
+        return names
 
     # -- queries -----------------------------------------------------------
     def position_of(self, stmt: C.Node) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Sequence, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +87,40 @@ FLOAT_P = CType("float", 1)
 # ---------------------------------------------------------------------------
 
 
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+#: field annotations that never hold a child node
+_LEAF_ANNOTATIONS = frozenset({"str", "int", "float", "CType", "dict",
+                               "frozenset"})
+
+
+def field_names(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of node class ``cls`` (computed once)."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names
+
+
+def child_fields(cls: type) -> Tuple[str, ...]:
+    """The fields of node class ``cls`` that may hold child nodes."""
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = _CHILD_FIELDS[cls] = tuple(
+            f.name for f in fields(cls) if f.type not in _LEAF_ANNOTATIONS)
+    return names
+
+
 @dataclass
 class Node:
     """Base class of every AST node."""
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (skips None / non-node fields)."""
-        for f in fields(self):
-            v = getattr(self, f.name)
+        d = self.__dict__
+        for name in child_fields(type(self)):
+            v = d[name]
             if isinstance(v, Node):
                 yield v
             elif isinstance(v, (list, tuple)):
@@ -104,13 +130,28 @@ class Node:
 
     def walk(self) -> Iterator["Node"]:
         """Yield this node and all descendants, pre-order."""
-        yield self
-        for c in self.children():
-            yield from c.walk()
+        stack = [self]
+        pop = stack.pop
+        while stack:
+            node = pop()
+            yield node
+            names = _CHILD_FIELDS.get(type(node)) or child_fields(type(node))
+            if not names:
+                continue
+            d = node.__dict__
+            kids = []
+            for name in names:
+                v = d[name]
+                if isinstance(v, Node):
+                    kids.append(v)
+                elif isinstance(v, (list, tuple)):
+                    kids.extend(item for item in v if isinstance(item, Node))
+            kids.reverse()
+            stack.extend(kids)
 
     def clone(self) -> "Node":
         """Deep copy of the subtree."""
-        return copy.deepcopy(self)
+        return copy_tree(self)
 
     # Printed form doubles as a readable repr for debugging/tests.
     def __str__(self) -> str:
@@ -302,6 +343,38 @@ class TaggedRegion(Node):
 # Helpers used throughout the code base
 # ---------------------------------------------------------------------------
 
+#: field values a copy may share with the original (immutable, or never
+#: mutated in place: a :class:`CType` is replaced, not edited)
+_SHARED = (str, int, float, type(None), frozenset, CType)
+
+
+def _copy_value(v, ids):
+    if isinstance(v, Node):
+        return copy_tree(v, ids)
+    if isinstance(v, _SHARED):
+        return v
+    if isinstance(v, list):
+        return [_copy_value(item, ids) for item in v]
+    return copy.deepcopy(v)
+
+
+def copy_tree(node: Node, ids: Optional[dict] = None) -> Node:
+    """Deep copy of ``node``, substituting identifiers named in ``ids``.
+
+    ``ids`` maps a name to a new name (a string) or to an expression that
+    is copied in place of each reference.  One pass: the substitution is
+    made while copying, not by rewriting a copy.
+    """
+    cls = type(node)
+    if ids is not None and cls is Id and node.name in ids:
+        v = ids[node.name]
+        return Id(v) if isinstance(v, str) else copy_tree(v)
+    out = object.__new__(cls)
+    src = node.__dict__
+    out.__dict__.update(
+        (name, _copy_value(src[name], ids)) for name in field_names(cls))
+    return out
+
 
 def const_fold(e: Expr) -> Expr:
     """Fold integer-constant arithmetic; returns a new (or the same) expr."""
@@ -356,6 +429,31 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     return const_fold(BinOp("*", a, b))
+
+
+def statements(root: Node) -> Iterator[Node]:
+    """Yield ``root`` and every statement under it, pre-order, without
+    entering expressions (which hold no declarations or statements)."""
+    stack = [root]
+    pop = stack.pop
+    while stack:
+        node = pop()
+        yield node
+        cls = type(node)
+        if cls is Block or cls is TaggedRegion:
+            kids = node.stmts
+        elif cls is For:
+            kids = [k for k in (node.init, node.step, node.body)
+                    if k is not None]
+        elif cls is If:
+            kids = [node.then] if node.els is None else [node.then, node.els]
+        elif cls is FuncDef:
+            kids = [node.body]
+        elif cls is Program:
+            kids = node.funcs
+        else:
+            continue
+        stack.extend(reversed(kids))
 
 
 def ident_names(e: Node) -> set:

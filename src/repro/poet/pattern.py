@@ -18,7 +18,7 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import cast as C
@@ -44,10 +44,9 @@ def ast_equal(a, b) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, C.Node):
-        for f in fields(a):
-            if not ast_equal(getattr(a, f.name), getattr(b, f.name)):
-                return False
-        return True
+        da, db = a.__dict__, b.__dict__
+        return all(ast_equal(da[name], db[name])
+                   for name in C.field_names(type(a)))
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(ast_equal(x, y) for x, y in zip(a, b))
     return a == b
@@ -68,10 +67,9 @@ def _match_value(pat, node, binding: dict) -> bool:
     if isinstance(pat, C.Node):
         if type(pat) is not type(node):
             return False
-        for f in fields(pat):
-            if not _match_value(getattr(pat, f.name), getattr(node, f.name), binding):
-                return False
-        return True
+        dp, dn = pat.__dict__, node.__dict__
+        return all(_match_value(dp[name], dn[name], binding)
+                   for name in C.field_names(type(pat)))
     if isinstance(pat, (list, tuple)):
         if not isinstance(node, (list, tuple)) or len(pat) != len(node):
             return False
@@ -121,12 +119,12 @@ def subst(template: C.Node, binding: dict) -> C.Node:
             raise PatternError(f"cannot substitute {v!r} for {n.name!r}")
         if isinstance(n, C.Node):
             kwargs = {}
-            for f in fields(n):
-                v = getattr(n, f.name)
+            for name in C.field_names(type(n)):
+                v = getattr(n, name)
                 if isinstance(v, (C.Node, list, tuple)):
-                    kwargs[f.name] = _subst_value(v, binding, rep)
+                    kwargs[name] = _subst_value(v, binding, rep)
                 else:
-                    kwargs[f.name] = v
+                    kwargs[name] = v
             return type(n)(**kwargs)
         return n
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Callable, Optional
 
 from . import cast as C
@@ -48,10 +47,11 @@ class NodeTransformer:
         return node
 
     def _rewrite_children(self, node: C.Node) -> C.Node:
-        for f in fields(node):
-            v = getattr(node, f.name)
+        d = node.__dict__
+        for name in C.field_names(type(node)):
+            v = d[name]
             if isinstance(v, C.Node):
-                setattr(node, f.name, self.transform(v))
+                d[name] = self.transform(v)
             elif isinstance(v, list):
                 new_list = []
                 for item in v:
@@ -65,20 +65,25 @@ class NodeTransformer:
                             new_list.append(r)
                     else:
                         new_list.append(item)
-                setattr(node, f.name, new_list)
+                d[name] = new_list
         return node
+
+
+class _FunctionRewriter(NodeTransformer):
+    """Bottom-up rewrite by one function (see :func:`rewrite`)."""
+
+    def __init__(self, fn: Callable[[C.Node], Optional[C.Node]]) -> None:
+        self.fn = fn
+
+    def transform(self, n: C.Node) -> C.Node:
+        n = self._rewrite_children(n)
+        r = self.fn(n)
+        return n if r is None else r
 
 
 def rewrite(node: C.Node, fn: Callable[[C.Node], Optional[C.Node]]) -> C.Node:
     """Functional bottom-up rewrite: ``fn`` returns a replacement or None."""
-
-    class _F(NodeTransformer):
-        def transform(self, n: C.Node) -> C.Node:
-            n = self._rewrite_children(n)
-            r = fn(n)
-            return n if r is None else r
-
-    return _F().transform(node)
+    return _FunctionRewriter(fn).transform(node)
 
 
 def replace_ids(node: C.Node, mapping: dict) -> C.Node:
@@ -86,15 +91,7 @@ def replace_ids(node: C.Node, mapping: dict) -> C.Node:
 
     Values may be strings (renames) or expression nodes.
     """
-    cloned = node.clone()
-
-    def fn(n: C.Node):
-        if isinstance(n, C.Id) and n.name in mapping:
-            v = mapping[n.name]
-            return C.Id(v) if isinstance(v, str) else v.clone()
-        return None
-
-    return rewrite(cloned, fn)
+    return C.copy_tree(node, mapping)
 
 
 def stmt_lists(root: C.Node):

@@ -96,12 +96,8 @@ def require_loop(root: C.Node, var: str) -> LoopInfo:
 
 def declared_names(stmts) -> list:
     """Names declared by top-level or nested Decl statements in ``stmts``."""
-    names = []
-    for s in stmts:
-        for n in s.walk():
-            if isinstance(n, C.Decl):
-                names.append(n.name)
-    return names
+    return [n.name for s in stmts for n in C.statements(s)
+            if isinstance(n, C.Decl)]
 
 
 class Transform:

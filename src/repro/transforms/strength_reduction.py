@@ -35,7 +35,11 @@ class AffineForm:
 
 
 def _expand(e: C.Node) -> C.Node:
-    """Distribute multiplication over addition: (l+1)*Mc -> l*Mc + Mc."""
+    """Distribute multiplication over addition: (l+1)*Mc -> l*Mc + Mc.
+
+    The result may share a subtree in several places (a DAG); it is only
+    read, and cloned into a tree by whoever inserts a part of it.
+    """
     if isinstance(e, C.BinOp):
         left = _expand(e.left)
         right = _expand(e.right)
@@ -43,14 +47,14 @@ def _expand(e: C.Node) -> C.Node:
             if isinstance(left, C.BinOp) and left.op in ("+", "-"):
                 return _expand(
                     C.BinOp(left.op,
-                            C.BinOp("*", left.left, right.clone()),
-                            C.BinOp("*", left.right, right.clone()))
+                            C.BinOp("*", left.left, right),
+                            C.BinOp("*", left.right, right))
                 )
             if isinstance(right, C.BinOp) and right.op in ("+", "-"):
                 return _expand(
                     C.BinOp(right.op,
-                            C.BinOp("*", left.clone(), right.left),
-                            C.BinOp("*", left.clone(), right.right))
+                            C.BinOp("*", left, right.left),
+                            C.BinOp("*", left, right.right))
                 )
         return C.BinOp(e.op, left, right)
     return e
@@ -84,17 +88,21 @@ def _term_coeff(term: C.Node, var: str) -> Optional[C.Node]:
             return None
         if left_has:
             inner = _term_coeff(term.left, var)
-            return None if inner is None else C.mul(inner, term.right.clone())
+            return None if inner is None else C.mul(inner, term.right)
         if right_has:
             inner = _term_coeff(term.right, var)
-            return None if inner is None else C.mul(term.left.clone(), inner)
+            return None if inner is None else C.mul(term.left, inner)
     return None
 
 
 def decompose_affine(idx: C.Node, var: str) -> Optional[AffineForm]:
-    """Decompose ``idx`` as ``coeff*var + base + const`` or return None."""
+    """Decompose ``idx`` as ``coeff*var + base + const`` or return None.
+
+    The parts may share leaves with ``idx`` (nothing here mutates a node);
+    callers clone them before putting them in a tree.
+    """
     terms: List[Tuple[int, C.Node]] = []
-    _flatten_sum(C.const_fold(_expand(C.const_fold(idx.clone()))), 1, terms)
+    _flatten_sum(C.const_fold(_expand(C.const_fold(idx))), 1, terms)
     coeff: Optional[C.Node] = None
     base: Optional[C.Node] = None
     const = 0
@@ -110,7 +118,7 @@ def decompose_affine(idx: C.Node, var: str) -> Optional[AffineForm]:
                 c = C.const_fold(C.UnaryOp("-", c))
             coeff = c if coeff is None else C.add(coeff, c)
             continue
-        piece = t.clone() if sign > 0 else C.UnaryOp("-", t.clone())
+        piece = t if sign > 0 else C.UnaryOp("-", t)
         base = piece if base is None else C.BinOp("+", base, piece)
     if coeff is not None:
         coeff = C.const_fold(coeff)
@@ -120,7 +128,7 @@ def decompose_affine(idx: C.Node, var: str) -> Optional[AffineForm]:
 
 
 def _canon(e: Optional[C.Node]) -> str:
-    return "" if e is None else to_c(C.const_fold(e.clone()))
+    return "" if e is None else to_c(C.const_fold(e))
 
 
 @dataclass

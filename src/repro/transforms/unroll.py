@@ -17,23 +17,17 @@ from typing import List, Optional
 
 from ..poet import cast as C
 from ..poet.errors import TransformError
-from ..poet.traversal import replace_ids, rewrite
+from ..poet.traversal import replace_ids
 from .base import FreshNames, LoopInfo, Transform, declared_names, loop_info, require_loop
 
 
-def _rename_decls(stmts: List[C.Node], suffix: str) -> List[C.Node]:
-    """Clone ``stmts`` renaming every variable they declare with ``suffix``."""
-    mapping = {name: f"{name}{suffix}" for name in declared_names(stmts)}
-    out = []
-    for s in stmts:
-        cloned = replace_ids(s, mapping)
-
-        def fix_decl(n: C.Node):
-            if isinstance(n, C.Decl) and n.name in mapping:
-                return C.Decl(mapping[n.name], n.ctype, n.init)
-            return None
-
-        out.append(rewrite(cloned, fix_decl))
+def _renamed_copy(stmt: C.Node, ids: dict, renames: dict) -> C.Node:
+    """Copy ``stmt`` substituting ``ids`` in identifiers and renaming the
+    declarations it makes by ``renames``."""
+    out = replace_ids(stmt, ids)
+    for n in C.statements(out):
+        if isinstance(n, C.Decl) and n.name in renames:
+            n.name = renames[n.name]
     return out
 
 
@@ -42,17 +36,21 @@ def unrolled_copies(info: LoopInfo, factor: int, names: Optional[FreshNames] = N
 
     Returns a list of statement lists.  Copy ``k`` has the induction variable
     replaced by ``v + k*S`` and its declared variables renamed ``name_u<k>``
-    (globally unique via ``names``).
+    (globally unique via ``names``).  Each statement is copied once, with
+    both substitutions made during the copy.
     """
     names = names or FreshNames()
+    declared = declared_names(info.body.stmts)
     copies = []
     for k in range(factor):
-        shift = {info.var: C.add(C.Id(info.var), C.IntLit(k * info.step))} if k else {}
-        stmts = []
-        for s in info.body.stmts:
-            stmts.append(replace_ids(s, shift) if shift else s.clone())
         uid = names.fresh("_u")
-        copies.append(_rename_decls(stmts, uid))
+        renames = {name: f"{name}{uid}" for name in declared}
+        ids = dict(renames)
+        if k:
+            shift = C.add(C.Id(info.var), C.IntLit(k * info.step))
+            ids[info.var] = replace_ids(shift, renames)
+        copies.append([_renamed_copy(s, ids, renames)
+                       for s in info.body.stmts])
     return copies
 
 

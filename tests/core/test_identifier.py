@@ -124,3 +124,60 @@ def test_sum_reduce_matcher():
     assert match_sum_reduce(parse_stmt("res += a * b;")) is None
     m = match_sum_reduce(parse_stmt("res += p0 + p1 + p2 + p3;"))
     assert m.dst == "res" and m.parts == ["p0", "p1", "p2", "p3"]
+
+
+def _store_runs(fn):
+    """Every maximal run of mmSTOREs in ``fn``: (matched stores, raw stmts)."""
+    from repro.core.templates import match_mm_store
+
+    for stmts in [n.stmts for n in fn.walk() if isinstance(n, C.Block)]:
+        i = 0
+        while i < len(stmts):
+            run = []
+            j = i
+            while (st := match_mm_store(stmts, j)) is not None:
+                run.append(st)
+                j += 3
+            if run:
+                yield run, stmts[i:j]
+                i = j
+            else:
+                i += 1
+
+
+def _stmts_of_stores_by_rematching(group, raw):
+    """The grouping's definition: for each store, the first 3-statement
+    window of the run that matches it (re-matched per store)."""
+    from repro.core.templates import match_mm_store
+
+    out = []
+    for store in group.stores:
+        for k in range(0, len(raw), 3):
+            cand = match_mm_store(raw[k:k + 3], 0)
+            if cand is not None and (cand.c_ptr, cand.c_off, cand.res) == (
+                    store.c_ptr, store.c_off, store.res):
+                out.extend(raw[k:k + 3])
+                break
+    return out
+
+
+@pytest.mark.parametrize("jam", [(2, 2), (4, 12), (8, 24)])
+def test_store_grouping_matches_rematching_definition(jam):
+    """Keying the run's windows once gives the statements per group that
+    re-matching every window for every store gives (including a run in
+    which one store appears twice)."""
+    from repro.core.identifier import TemplateIdentifier, _group_stores
+
+    nu, mu = jam
+    fn = optimize_c_kernel(GEMM_SIMPLE_C, OptimizationConfig(
+        unroll_jam=(("j", nu), ("i", mu))))
+    runs = list(_store_runs(fn))
+    assert sum(len(run) for run, _ in runs) == nu * mu
+    run, raw = runs[0]
+    runs.append((run + run[:1], raw + raw[:3]))  # a repeated store
+    for run, raw in runs:
+        for group in _group_stores(run):
+            got = TemplateIdentifier._stmts_of_stores(group, run, raw)
+            want = _stmts_of_stores_by_rematching(group, raw)
+            assert [id(s) for s in got] == [id(s) for s in want]
+            assert len(got) == 3 * len(group.stores)
