@@ -51,8 +51,7 @@ from ..backend.faults import inject_asm_fault, take_fault
 from ..backend.runner import NativeKernel, load_kernel
 from ..backend.sandbox import resolve_isolation, run_trial
 from ..core.framework import Augem, quarantine_key
-from ..isa.arch import (ALL_ARCHS, GENERIC_SSE, SANDYBRIDGE, ArchSpec,
-                        detect_host, forced_arch_name)
+from ..isa.arch import ALL_ARCHS, ArchSpec, detect_host, forced_arch_name
 from ..obs import event, incr, span
 from . import reference as ref
 from .level1 import unroll_of
@@ -90,14 +89,16 @@ REFERENCE_TIER = Tier(REFERENCE_TIER_NAME, None)
 def capability_chain(top: Optional[ArchSpec] = None) -> List[Tier]:
     """The ordered fallback chain starting at (and including) ``top``.
 
-    Standard lower tiers (sandybridge, generic_sse) with strictly lower
-    capability rank follow the top spec; the chain always terminates in
-    the reference tier.
+    Every modelled spec of strictly lower capability rank follows the top
+    spec, best first — except FMA4 specs, which Intel hosts cannot run;
+    the chain always terminates in the reference tier.
     """
     top = top or detect_host()
-    specs = [top] + [a for a in (SANDYBRIDGE, GENERIC_SSE)
-                     if a.capability_rank < top.capability_rank]
-    return [Tier(a.name, a) for a in specs] + [REFERENCE_TIER]
+    lower = sorted((a for a in ALL_ARCHS.values()
+                    if a.capability_rank < top.capability_rank
+                    and a.fma != "fma4"),
+                   key=lambda a: -a.capability_rank)
+    return [Tier(a.name, a) for a in [top] + lower] + [REFERENCE_TIER]
 
 
 def default_chain() -> List[Tier]:

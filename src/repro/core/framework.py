@@ -133,11 +133,12 @@ def default_config(kernel: str, arch: ArchSpec) -> OptimizationConfig:
             )
         # wide-tile register economics (e.g. 4x12 on AVX+FMA: 12
         # accumulators, 3 A vectors, 1 rotating broadcast — the OpenBLAS
-        # kernel shape); non-FMA targets need a mul temp, so one A chunk
-        # fewer
+        # kernel shape; 8x24 on AVX-512: 24 + 3 + 1 of 32 registers, the
+        # Exo/BLIS AVX-512 shape); non-FMA targets need a mul temp, so one
+        # A chunk fewer
         mu = 3 * n if arch.has_fma else 2 * n
         return OptimizationConfig(
-            unroll_jam=(("j", 2 if n == 2 else 4), ("i", mu)),
+            unroll_jam=(("j", 2 if n == 2 else n), ("i", mu)),
             unroll=(("l", 2),),
         )
     if kernel == "gemv":

@@ -6,10 +6,11 @@ This gives the test suite an oracle for *any* architecture spec (including
 FMA4/Piledriver code the host cannot run) and validates instruction
 semantics independently of the native toolchain.
 
-Supported: the GP/SSE/AVX/FMA vocabulary in
-:data:`repro.isa.instructions.INSTR_INFO`.  Vector registers are modelled
-as four float64 lanes; VEX-encoded 128-bit writes zero the upper lanes,
-legacy SSE writes preserve them, matching hardware.  Legacy forms run
+Supported: the GP/SSE/AVX/AVX-512/FMA vocabulary in
+:data:`repro.isa.instructions.INSTR_INFO`.  The vector register file is
+modelled as 32 registers of eight float64 lanes (zmm0-31); VEX/EVEX writes
+zero every lane above the written width up to 512 bits, legacy SSE writes
+preserve them, matching hardware.  Legacy forms run
 through the VEX handlers by the encoding rule of
 :mod:`repro.isa.instructions`.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from ..isa.instructions import Instr, Item, Label, vex_operands
 from ..isa.operands import Imm, LabelRef, Mem
-from ..isa.registers import Register
+from ..isa.registers import N_VEC_REGS, Register
 from .memory import Memory
 
 _U64 = 2 ** 64
@@ -74,7 +75,7 @@ def _fma(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 @dataclass
 class MachineState:
     gp: Dict[str, int] = field(default_factory=dict)
-    vec: np.ndarray = field(default_factory=lambda: np.zeros((16, 4)))
+    vec: np.ndarray = field(default_factory=lambda: np.zeros((N_VEC_REGS, 8)))
     # last flag-setting operation, stored as (signed_result_for_zero_cmp)
     cmp_dst: int = 0
     cmp_src: int = 0
@@ -132,7 +133,7 @@ class Machine:
     # vector lanes -------------------------------------------------------
     @staticmethod
     def _lanes(reg: Register) -> int:
-        return 4 if reg.width == 32 else 2
+        return reg.width // 8
 
     def _vreg(self, reg: Register) -> np.ndarray:
         return self.state.vec[reg.index]
@@ -380,11 +381,14 @@ class Machine:
             hi = halves[(i >> 4) & 3] if not (i & 0x80) else np.zeros(2)
             self._write_vec(dst, np.concatenate([lo, hi]), vex)
             return pc + 1
-        if op == "extractf128":
+        if op in ("extractf128", "extractf64x2", "extractf64x4"):
+            # chunk ``imm`` (of the destination's width) of the source;
+            # the immediate wraps at the number of chunks in the source
             imm, src, dst = ops
-            s = self._read_vec(src, 4)
-            half = s[2:4] if imm.value & 1 else s[0:2]
-            self._write_vec(dst, half, vex)
+            chunk = self._lanes(dst)
+            k = imm.value % (self._lanes(src) // chunk)
+            s = self._read_vec(src, self._lanes(src))
+            self._write_vec(dst, s[k * chunk:(k + 1) * chunk], vex)
             return pc + 1
         if op == "insertf128":
             imm, s2, s1, dst = ops

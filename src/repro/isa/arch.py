@@ -6,8 +6,8 @@ An :class:`ArchSpec` tells the template optimizers which SIMD mode to use
 budget used by the per-array register-queue allocator (§3.1).
 
 The two evaluation platforms of the paper (Table 5) are modelled, along
-with a generic SSE2 target (standing in for the pre-AVX GotoBLAS code path)
-and Haswell (this container's host, AVX2+FMA3).
+with a generic SSE2 target (standing in for the pre-AVX GotoBLAS code path),
+Haswell (AVX2+FMA3) and Skylake-X (AVX-512: 512-bit vectors, 32 registers).
 """
 
 from __future__ import annotations
@@ -42,8 +42,15 @@ class ArchSpec:
             raise ValueError(f"bad fma flavour {self.fma!r}")
         if self.simd == "sse" and self.vector_bytes != 16:
             raise ValueError("SSE vector width is 16 bytes")
-        if self.simd == "avx" and self.vector_bytes not in (16, 32):
-            raise ValueError("AVX vector width is 16 or 32 bytes")
+        if self.simd == "avx" and self.vector_bytes not in (16, 32, 64):
+            raise ValueError("AVX vector width is 16, 32 or 64 bytes")
+        # registers 16-31 exist only in the EVEX encoding, which comes
+        # with 512-bit vectors
+        limit = 32 if self.vector_bytes == 64 else 16
+        if not 1 <= self.n_vector_regs <= limit:
+            raise ValueError(f"{self.vector_bytes * 8}-bit code reaches "
+                             f"{limit} vector registers, not "
+                             f"{self.n_vector_regs}")
 
     @property
     def doubles_per_vector(self) -> int:
@@ -56,9 +63,10 @@ class ArchSpec:
 
     @property
     def capability_rank(self) -> int:
-        """FMA > AVX > SSE — the order the dispatch chain demotes in."""
+        """512-bit FMA > FMA > AVX > SSE — the order the dispatch chain
+        demotes in."""
         if self.has_fma:
-            return 3
+            return 4 if self.vector_bytes == 64 else 3
         return 2 if self.simd == "avx" else 1
 
     def __str__(self) -> str:
@@ -101,6 +109,20 @@ HASWELL = ArchSpec(
     description="Intel Haswell-class (AVX2 + FMA3)",
 )
 
+#: Intel Skylake-X and later: AVX-512F/DQ/VL with FMA3 — 512-bit vectors
+#: and 32 registers (zmm16-31 and xmm/ymm16-31 encode only as EVEX).
+SKYLAKEX = ArchSpec(
+    name="skylakex",
+    simd="avx",
+    fma="fma3",
+    vector_bytes=64,
+    n_vector_regs=32,
+    l1d_bytes=32 * 1024,
+    l2_bytes=1024 * 1024,
+    prefetch_distance=64,
+    description="Intel Skylake-X-class (AVX-512F/DQ/VL + FMA3)",
+)
+
 #: Generic SSE2 x86-64 — the pre-AVX code path (GotoBLAS-era hardware).
 GENERIC_SSE = ArchSpec(
     name="generic_sse",
@@ -111,8 +133,17 @@ GENERIC_SSE = ArchSpec(
 )
 
 ALL_ARCHS = {
-    a.name: a for a in (SANDYBRIDGE, PILEDRIVER, HASWELL, GENERIC_SSE)
+    a.name: a
+    for a in (SANDYBRIDGE, PILEDRIVER, HASWELL, SKYLAKEX, GENERIC_SSE)
 }
+
+#: cpuinfo flags each natively detectable spec needs, best spec first
+#: (FMA4 is never selected: Intel hosts cannot run it)
+_HOST_FLAGS = (
+    (SKYLAKEX, {"avx512f", "avx512dq", "avx512vl", "fma"}),
+    (HASWELL, {"avx2", "fma"}),
+    (SANDYBRIDGE, {"avx"}),
+)
 
 
 def get_arch(name: str) -> ArchSpec:
@@ -189,12 +220,7 @@ def detect_host(cpuinfo_path: str = _DEFAULT_CPUINFO) -> ArchSpec:
         return GENERIC_SSE
     flags_match = re.search(r"^flags\s*:\s*(.*)$", text, re.M)
     flags = set(flags_match.group(1).split()) if flags_match else set()
-    if "avx2" in flags and "fma" in flags:
-        spec = HASWELL
-    elif "avx" in flags:
-        spec = SANDYBRIDGE
-    else:
-        spec = GENERIC_SSE
+    spec = next((s for s, need in _HOST_FLAGS if need <= flags), GENERIC_SSE)
     if cpuinfo_path == _DEFAULT_CPUINFO:
         _HOST_CACHE[cpuinfo_path] = spec
     return spec

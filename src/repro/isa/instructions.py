@@ -127,6 +127,9 @@ INSTR_INFO = {
     "vpermilpd": _I(("I", "R", "W")),
     "vperm2f128": _I(("I", "R", "R", "W"), latency=3),
     "vextractf128": _I(("I", "R", "W"), latency=3),
+    # -- EVEX only (AVX-512F/DQ) -------------------------------------------
+    "vextractf64x2": _I(("I", "R", "W"), latency=3),
+    "vextractf64x4": _I(("I", "R", "W"), latency=3),
     "vinsertf128": _I(("I", "R", "R", "W"), latency=3),
     "vzeroupper": _I(()),
     # -- FMA -------------------------------------------------------------------

@@ -15,13 +15,20 @@ them to concrete machine instructions according to the target
 - FMA3: ``Mul+Add`` collapses to ``vfmadd231pd r0,r1,r3`` (Table 1 line 3).
 - FMA4: ``vfmaddpd r0,r1,r3,r3`` (Table 1 line 4; four-operand AMD form).
 
+What depends on the vector width — the broadcast, the lane extract, the
+halving steps of a horizontal sum, the 128-bit shuffles of the Shuf method
+and the exit sequence — is one :class:`WidthRow` per width in
+:data:`WIDTH_ROWS`, not a branch.  The 512-bit row uses only instructions
+that have an EVEX form, because registers 16-31 encode only as EVEX.
+
 All methods return ``List[Instr]`` so multi-instruction lowerings compose
 uniformly.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .arch import ArchSpec
 from .instructions import Instr, instr
@@ -33,13 +40,50 @@ from .registers import Register
 _COMMUTATIVE = frozenset({"addsd", "mulsd", "addpd", "mulpd", "xorpd"})
 
 
+@dataclass(frozen=True)
+class WidthRow:
+    """The width-specific mnemonics of one vector width."""
+
+    #: ``Vdup`` from memory, as a legacy name (VEX code prefixes ``v``)
+    broadcast: str
+    #: copies 128-bit lane pair ``imm`` of a full-width register to an xmm
+    #: (``None``: the register is one lane pair)
+    extract: Optional[str]
+    #: horizontal sum: ``(mnemonic, source width)`` extracts of the upper
+    #: half, widest first; each is followed by a packed add of the halves
+    halves: Tuple[Tuple[str, int], ...]
+    #: 128-bit half permute and lane blend of the 4-lane Shuf method
+    #: (``None``: not available at this width)
+    lane_permute: Optional[str]
+    blend: Optional[str]
+    #: instructions before ``ret`` (``vzeroupper`` avoids the SSE
+    #: transition penalty in the caller after wide code)
+    epilogue: Tuple[str, ...]
+
+
+#: vector width in bytes -> its row (paper Tables 1-4 across widths)
+WIDTH_ROWS: Dict[int, WidthRow] = {
+    16: WidthRow(broadcast="movddup", extract=None, halves=(),
+                 lane_permute=None, blend="vblendpd", epilogue=()),
+    32: WidthRow(broadcast="broadcastsd", extract="vextractf128",
+                 halves=(("vextractf128", 32),),
+                 lane_permute="vperm2f128", blend="vblendpd",
+                 epilogue=("vzeroupper",)),
+    # no EVEX form exists for vextractf128, vperm2f128 or vblendpd
+    64: WidthRow(broadcast="broadcastsd", extract="vextractf64x2",
+                 halves=(("vextractf64x4", 64), ("vextractf64x2", 32)),
+                 lane_permute=None, blend=None,
+                 epilogue=("vzeroupper",)),
+}
+
+
 class MappingRules:
     """Arch-parameterized lowering of the paper's pseudo instructions."""
 
     def __init__(self, arch: ArchSpec) -> None:
         self.arch = arch
         self._vex = arch.simd == "avx"
-        self._wide = arch.vector_bytes == 32
+        self._row = WIDTH_ROWS[arch.vector_bytes]
 
     # ------------------------------------------------------------------
     # the two encoding-aware helpers every lowering goes through
@@ -128,10 +172,11 @@ class MappingRules:
             if lane:
                 return self._op("unpckhpd", src.xmm, src.xmm, dst.xmm)
             return self.mov_scalar(src, dst)
-        if not self._wide:
-            raise ValueError("lane >= 2 requires 256-bit registers")
-        out = [instr("vextractf128", Imm(1), src.ymm, dst.xmm)]
-        if lane == 3:
+        if self._row.extract is None or lane >= self.arch.doubles_per_vector:
+            raise ValueError(f"no lane {lane} in {self.arch.vector_bytes * 8}"
+                             "-bit registers")
+        out = [instr(self._row.extract, Imm(lane // 2), self._v(src), dst.xmm)]
+        if lane % 2:
             out += self._op("unpckhpd", dst.xmm, dst.xmm, dst.xmm)
         return out
 
@@ -157,13 +202,11 @@ class MappingRules:
     def vdup(self, src: Mem, dst: Register, comment: str = None) -> List[Instr]:
         """``Vdup``: load one element and replicate it across all lanes.
 
-        128-bit: ``movddup`` (SSE3) / ``vmovddup``; 256-bit:
+        128-bit: ``movddup`` (SSE3) / ``vmovddup``; wider:
         ``vbroadcastsd`` (memory source — the only form Sandy Bridge
         supports).
         """
-        if self._wide:
-            return [instr("vbroadcastsd", src, dst.ymm, comment=comment)]
-        return self._mov("movddup", src, dst.xmm, comment)
+        return self._mov(self._row.broadcast, src, self._v(dst), comment)
 
     def vadd(self, src: Register, acc: Register) -> List[Instr]:
         """acc += src, packed."""
@@ -188,31 +231,34 @@ class MappingRules:
         the in-lane half of the AVX Shuf method (``vpermilpd $5``).
         """
         if self._vex:
-            return [instr("vpermilpd", Imm(5 if self._wide else 1),
-                          self._v(src), self._v(dst))]
+            odd = 0x55 & ((1 << self.arch.doubles_per_vector) - 1)
+            return [instr("vpermilpd", Imm(odd), self._v(src), self._v(dst))]
         return self._op("shufpd", src.xmm, src.xmm, dst.xmm, imm=Imm(1))
+
+    def _lane_permute(self) -> str:
+        if self._row.lane_permute is None:
+            raise ValueError("128-bit lane permutes need 256-bit AVX")
+        return self._row.lane_permute
 
     def shuf_swap_lanes(self, src: Register, dst: Register) -> List[Instr]:
         """Swap the two 128-bit halves of a 256-bit register (AVX only)."""
-        if not self._wide:
-            raise ValueError("lane swap requires 256-bit AVX")
-        return [instr("vperm2f128", Imm(1), src.ymm, src.ymm, dst.ymm)]
+        v = self._v
+        return [instr(self._lane_permute(), Imm(1), v(src), v(src), v(dst))]
 
     def vblend(self, imm: int, a: Register, b: Register,
                dst: Register) -> List[Instr]:
         """dst[k] = b[k] if imm bit k else a[k] (AVX only)."""
-        if not self._vex:
-            raise ValueError("vblendpd requires AVX")
+        if not self._vex or self._row.blend is None:
+            raise ValueError("vblendpd requires VEX-encoded AVX")
         v = self._v
-        return [instr("vblendpd", Imm(imm), v(b), v(a), v(dst))]
+        return [instr(self._row.blend, Imm(imm), v(b), v(a), v(dst))]
 
     def vperm128_lo_hi(self, lo_src: Register, hi_src: Register,
                        dst: Register) -> List[Instr]:
         """dst = (low half of lo_src, high half of hi_src) — 256-bit AVX."""
-        if not self._wide:
-            raise ValueError("vperm2f128 requires 256-bit AVX")
-        return [instr("vperm2f128", Imm(0x30), hi_src.ymm, lo_src.ymm,
-                      dst.ymm)]
+        v = self._v
+        return [instr(self._lane_permute(), Imm(0x30), v(hi_src), v(lo_src),
+                      v(dst))]
 
     def shufpd_combine(self, imm: int, a: Register, b: Register,
                        dst: Register) -> List[Instr]:
@@ -227,20 +273,23 @@ class MappingRules:
                           comment: str = None) -> List[Instr]:
         """Sum all lanes of ``acc`` into its low scalar lane.
 
-        256-bit: extract the high half and add it to the low half; then
-        fold the remaining pair with an unpack + add.
+        Wider than 128 bits: extract the high half and add it to the low
+        half until one lane pair is left; then fold the pair with an
+        unpack + add.
         """
-        a, t = acc.xmm, tmp.xmm
         out: List[Instr] = []
-        if self._wide:
-            out = [instr("vextractf128", Imm(1), acc.ymm, t, comment=comment)]
+        for mn, width in self._row.halves:
+            half = width // 2
+            a, t = acc.as_width(half), tmp.as_width(half)
+            out.append(instr(mn, Imm(1), acc.as_width(width), t,
+                             comment=comment))
             out += self._op("addpd", t, a, a)
             comment = None
+        a, t = acc.xmm, tmp.xmm
         return (out + self._op("unpckhpd", a, a, t, comment=comment)
                 + self._op("addsd", t, a, a))
 
     # -- kernel exit ------------------------------------------------------------
     def epilogue(self) -> List[Instr]:
-        """``vzeroupper`` after 256-bit code (avoids the SSE transition
-        penalty in the caller)."""
-        return [instr("vzeroupper")] if self._wide else []
+        """The width row's exit sequence (``vzeroupper`` after wide code)."""
+        return [instr(mn) for mn in self._row.epilogue]

@@ -12,7 +12,8 @@ class Register:
 
     :param name: canonical name (``rax``, ``xmm3``, ``ymm3``).
     :param kind: ``"gp"`` or ``"vec"``.
-    :param width: width in bytes (8 for GP, 16 for xmm, 32 for ymm).
+    :param width: width in bytes (8 for GP, 16 for xmm, 32 for ymm, 64 for
+        zmm).
     """
 
     name: str
@@ -24,7 +25,7 @@ class Register:
 
     @property
     def index(self) -> int:
-        """Hardware encoding index (xmm3 and ymm3 share index 3)."""
+        """Hardware encoding index (xmm3, ymm3 and zmm3 share index 3)."""
         if self.kind == "vec":
             return int(self.name[3:])
         return GP_ORDER.index(self.name)
@@ -43,6 +44,10 @@ class Register:
     def ymm(self) -> "Register":
         return self.as_width(32)
 
+    @property
+    def zmm(self) -> "Register":
+        return self.as_width(64)
+
 
 GP_ORDER = [
     "rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi",
@@ -50,13 +55,21 @@ GP_ORDER = [
 ]
 
 GP = {n: Register(n, "gp", 8) for n in GP_ORDER}
+
+#: architectural vector registers at every width.  An arch's
+#: ``n_vector_regs`` says how many of them its encoding reaches: VEX and
+#: legacy SSE stop at 16, registers 16-31 encode only as EVEX.
+N_VEC_REGS = 32
+
 #: vector width in bytes -> register file (index -> register)
 _VEC_FILES = {
-    width: tuple(Register(f"{prefix}{i}", "vec", width) for i in range(16))
-    for width, prefix in ((16, "xmm"), (32, "ymm"))
+    width: tuple(Register(f"{prefix}{i}", "vec", width)
+                 for i in range(N_VEC_REGS))
+    for width, prefix in ((16, "xmm"), (32, "ymm"), (64, "zmm"))
 }
 XMM = {r.name: r for r in _VEC_FILES[16]}
 YMM = {r.name: r for r in _VEC_FILES[32]}
+ZMM = {r.name: r for r in _VEC_FILES[64]}
 
 RAX, RCX, RDX, RBX = GP["rax"], GP["rcx"], GP["rdx"], GP["rbx"]
 RSP, RBP, RSI, RDI = GP["rsp"], GP["rbp"], GP["rsi"], GP["rdi"]
@@ -72,12 +85,20 @@ def ymm(i: int) -> Register:
     return YMM[f"ymm{i}"]
 
 
+def zmm(i: int) -> Register:
+    return ZMM[f"zmm{i}"]
+
+
 def vec(i: int, width: int) -> Register:
-    """Vector register ``i`` at the given width (16 -> xmm, 32 -> ymm)."""
+    """Vector register ``i`` at the given width (16 -> xmm, 32 -> ymm,
+    64 -> zmm)."""
     try:
-        return _VEC_FILES[width][i]
+        regs = _VEC_FILES[width]
     except KeyError:
         raise ValueError(f"unsupported vector width {width}") from None
+    if not 0 <= i < N_VEC_REGS:
+        raise ValueError(f"no vector register {i}")
+    return regs[i]
 
 
 class SysVABI:

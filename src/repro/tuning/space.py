@@ -31,13 +31,22 @@ def gemm_candidates(arch: ArchSpec, layout: str = "dup") -> List[Candidate]:
     """unroll&jam (nu, mu), l-unroll ku, prefetch distance sweep."""
     n = arch.doubles_per_vector
     out: List[Candidate] = []
-    nu_opts = (2, 4)
     mu_opts = (n, 2 * n, 3 * n, 4 * n)
     reserve = 1 if arch.has_fma else 2  # rotating broadcast (+ mul temp)
+
+    def registers(nu: int, mu: int) -> int:
+        """accumulators + A vectors + reserve"""
+        return nu * (mu // n) + mu // n + reserve
+
+    # 8-column tiles (the AVX-512 8x24 shape) only where the register
+    # file holds one with two A vectors: with a single A vector each of
+    # the 8 broadcasts feeds one FMA
+    nu_opts = (2, 4, 8) if registers(8, 2 * n) <= arch.n_vector_regs \
+        else (2, 4)
     for nu in nu_opts:
         for mu in mu_opts:
-            # accumulators + A vectors + reserve must fit the register file
-            if nu * (mu // n) + mu // n + reserve > arch.n_vector_regs:
+            # the tile must fit the register file
+            if registers(nu, mu) > arch.n_vector_regs:
                 continue
             for ku in (1, 2, 4):
                 for pf in (None, {"A": 8 * n, "B": 4 * n}):

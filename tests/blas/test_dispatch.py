@@ -25,6 +25,7 @@ from repro.isa.arch import (
     HASWELL,
     PILEDRIVER,
     SANDYBRIDGE,
+    SKYLAKEX,
     detect_host,
     reset_host_cache,
 )
@@ -58,6 +59,8 @@ def _check_axpy(driver):
 # -- chain shape ------------------------------------------------------------
 
 @pytest.mark.parametrize("top,names", [
+    (SKYLAKEX, ["skylakex", "haswell", "sandybridge", "generic_sse",
+                "reference"]),
     (HASWELL, ["haswell", "sandybridge", "generic_sse", "reference"]),
     (PILEDRIVER, ["piledriver", "sandybridge", "generic_sse", "reference"]),
     (SANDYBRIDGE, ["sandybridge", "generic_sse", "reference"]),

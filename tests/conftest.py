@@ -18,7 +18,8 @@ import pytest
 os.environ.setdefault("REPRO_CACHE_DIR", "off")
 
 from repro.backend.compiler import have_native_toolchain
-from repro.isa.arch import GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE, detect_host
+from repro.isa.arch import (GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE,
+                            SKYLAKEX, detect_host)
 
 HAVE_CC = have_native_toolchain()
 
@@ -85,16 +86,12 @@ def pytest_runtest_protocol(item, nextitem):
 
 def host_runnable_archs():
     """Arch specs whose generated code the host CPU can execute natively."""
-    host = detect_host()
-    out = [GENERIC_SSE]
-    if host.simd == "avx":
-        out.append(SANDYBRIDGE)
-    if host.fma == "fma3":
-        out.append(HASWELL)
-    return out
+    rank = detect_host().capability_rank
+    return [a for a in (GENERIC_SSE, SANDYBRIDGE, HASWELL, SKYLAKEX)
+            if a.capability_rank <= rank]
 
 
-ALL_ARCH_SPECS = [GENERIC_SSE, SANDYBRIDGE, PILEDRIVER, HASWELL]
+ALL_ARCH_SPECS = [GENERIC_SSE, SANDYBRIDGE, PILEDRIVER, HASWELL, SKYLAKEX]
 
 
 @pytest.fixture(scope="session")

@@ -48,7 +48,7 @@ def test_label_operand():
 
 def test_bad_operand_raises():
     with pytest.raises(AsmParseError):
-        parse_operand("%zmm0")
+        parse_operand("%zmm32")
     with pytest.raises(AsmParseError):
         parse_operand("$xyz")
 

@@ -12,7 +12,7 @@ from repro.emu.machine import EmuError, Machine
 from repro.emu.memory import Memory
 from repro.isa.instructions import INSTR_INFO, Label, instr
 from repro.isa.operands import Imm, LabelRef, Mem
-from repro.isa.registers import GP, xmm, ymm
+from repro.isa.registers import GP, xmm, ymm, zmm
 
 RAX, RBX, RCX = GP["rax"], GP["rbx"], GP["rcx"]
 
@@ -236,13 +236,13 @@ def test_vex_128_write_zeroes_upper_lanes():
     m = run([instr("vaddsd", xmm(0), xmm(1), xmm(2))],
             floats={0: [1.0], 1: [2.0], 2: [9.0, 9.0, 9.0, 9.0]})
     assert m.state.vec[2][0] == 3.0
-    assert list(m.state.vec[2][2:]) == [0.0, 0.0]
+    assert list(m.state.vec[2][2:]) == [0.0] * 6  # zeroed up to 512 bits
 
 
 def test_legacy_sse_write_preserves_upper_lanes():
     m = run([instr("addsd", xmm(0), xmm(2))],
-            floats={0: [1.0], 2: [2.0, 8.0, 8.0, 8.0]})
-    assert list(m.state.vec[2]) == [3.0, 8.0, 8.0, 8.0]
+            floats={0: [1.0], 2: [2.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0]})
+    assert list(m.state.vec[2]) == [3.0] + [8.0] * 7
 
 
 def test_vbroadcastsd():
@@ -251,7 +251,7 @@ def test_vbroadcastsd():
     m = Machine([instr("vbroadcastsd", Mem(base=RAX), ymm(3))], mem)
     m.state.gp["rax"] = addr
     m.run()
-    assert list(m.state.vec[3]) == [2.5] * 4
+    assert list(m.state.vec[3]) == [2.5] * 4 + [0.0] * 4
 
 
 def test_vmulpd_vaddpd_256():
@@ -259,32 +259,32 @@ def test_vmulpd_vaddpd_256():
         instr("vmulpd", ymm(0), ymm(1), ymm(2)),
         instr("vaddpd", ymm(2), ymm(3), ymm(3)),
     ], floats={0: [1, 2, 3, 4], 1: [5, 6, 7, 8], 3: [1, 1, 1, 1]})
-    assert list(m.state.vec[3]) == [6.0, 13.0, 22.0, 33.0]
+    assert list(m.state.vec[3][:4]) == [6.0, 13.0, 22.0, 33.0]
 
 
 def test_vfmadd231pd():
     m = run([instr("vfmadd231pd", ymm(0), ymm(1), ymm(2))],
             floats={0: [2, 2, 2, 2], 1: [3, 3, 3, 3], 2: [1, 1, 1, 1]})
-    assert list(m.state.vec[2]) == [7.0] * 4
+    assert list(m.state.vec[2][:4]) == [7.0] * 4
 
 
 def test_fma4_vfmaddpd():
     # AT&T (src3, src2, src1, dst): dst = src1*src2 + src3
     m = run([instr("vfmaddpd", ymm(2), ymm(1), ymm(0), ymm(3))],
             floats={0: [2, 2, 2, 2], 1: [3, 3, 3, 3], 2: [1, 1, 1, 1]})
-    assert list(m.state.vec[3]) == [7.0] * 4
+    assert list(m.state.vec[3][:4]) == [7.0] * 4
 
 
 def test_vpermilpd_imm5():
     m = run([instr("vpermilpd", Imm(5), ymm(0), ymm(1))],
             floats={0: [1, 2, 3, 4]})
-    assert list(m.state.vec[1]) == [2.0, 1.0, 4.0, 3.0]
+    assert list(m.state.vec[1][:4]) == [2.0, 1.0, 4.0, 3.0]
 
 
 def test_vperm2f128_swap_lanes():
     m = run([instr("vperm2f128", Imm(1), ymm(0), ymm(0), ymm(1))],
             floats={0: [1, 2, 3, 4]})
-    assert list(m.state.vec[1]) == [3.0, 4.0, 1.0, 2.0]
+    assert list(m.state.vec[1][:4]) == [3.0, 4.0, 1.0, 2.0]
 
 
 def test_vextractf128():
@@ -293,17 +293,42 @@ def test_vextractf128():
     assert list(m.state.vec[1][:2]) == [3.0, 4.0]
 
 
+@pytest.mark.parametrize("imm", range(4))
+def test_vextractf64x2_from_zmm_zeroes_upper_lanes(imm):
+    m = run([instr("vextractf64x2", Imm(imm), zmm(0), xmm(17))],
+            floats={0: list(range(1, 9)), 17: [9.0] * 8})
+    assert list(m.state.vec[17]) == [2 * imm + 1.0, 2 * imm + 2.0] + [0.0] * 6
+
+
+def test_vextractf64x2_from_ymm():
+    m = run([instr("vextractf64x2", Imm(1), ymm(20), xmm(3))],
+            floats={20: list(range(1, 9)), 3: [9.0] * 8})
+    assert list(m.state.vec[3]) == [3.0, 4.0] + [0.0] * 6
+
+
+def test_vextractf64x4_zeroes_upper_lanes():
+    m = run([instr("vextractf64x4", Imm(1), zmm(31), ymm(16))],
+            floats={31: list(range(1, 9)), 16: [9.0] * 8})
+    assert list(m.state.vec[16]) == [5.0, 6.0, 7.0, 8.0] + [0.0] * 4
+
+
+def test_zmm_fma_uses_all_eight_lanes():
+    m = run([instr("vfmadd231pd", zmm(0), zmm(1), zmm(29))],
+            floats={0: [2.0] * 8, 1: list(range(8)), 29: [1.0] * 8})
+    assert list(m.state.vec[29]) == [2.0 * k + 1.0 for k in range(8)]
+
+
 def test_vunpckhpd_256():
     m = run([instr("vunpckhpd", ymm(1), ymm(0), ymm(2))],
             floats={0: [1, 2, 3, 4], 1: [5, 6, 7, 8]})
-    assert list(m.state.vec[2]) == [2.0, 6.0, 4.0, 8.0]
+    assert list(m.state.vec[2][:4]) == [2.0, 6.0, 4.0, 8.0]
 
 
 def test_vshufpd_256():
     m = run([instr("vshufpd", Imm(0b0101), ymm(1), ymm(0), ymm(2))],
             floats={0: [1, 2, 3, 4], 1: [5, 6, 7, 8]})
     # per lane-pair: out[0]=a[imm0], out[1]=b[imm1] etc.
-    assert list(m.state.vec[2]) == [2.0, 5.0, 4.0, 7.0]
+    assert list(m.state.vec[2][:4]) == [2.0, 5.0, 4.0, 7.0]
 
 
 def test_prefetch_is_noop():
@@ -316,7 +341,7 @@ def test_divsd():
     assert m.state.vec[1][0] == 2.5
 
 
-_VECTOR_SUFFIXES = ("pd", "sd", "ddup", "f128", "upper")
+_VECTOR_SUFFIXES = ("pd", "sd", "ddup", "f128", "f64x2", "f64x4", "upper")
 
 
 def _vector_operands(mn):
@@ -348,7 +373,7 @@ def test_every_known_mnemonic_is_executable_or_control():
     with a VEX twin obeys the encoding rule: ``op src, dst`` matches
     ``vop src, dst, dst`` on the low lanes, keeps the upper lanes where
     the VEX-128 form zeroes them."""
-    lanes = np.arange(1.0, 65.0).reshape(16, 4)
+    lanes = np.arange(1.0, 257.0).reshape(32, 8)
     vector = sorted(mn for mn in INSTR_INFO if mn.endswith(_VECTOR_SUFFIXES))
     assert len(vector) >= 40
     for mn in vector:
@@ -367,4 +392,4 @@ def test_every_known_mnemonic_is_executable_or_control():
         got_vex = _run_from([twin], lanes)[dst]
         assert list(got_legacy[:2]) == list(got_vex[:2]), mn
         assert list(got_legacy[2:]) == list(lanes[dst][2:]), mn
-        assert list(got_vex[2:]) == [0.0, 0.0], mn
+        assert list(got_vex[2:]) == [0.0] * 6, mn

@@ -1,9 +1,9 @@
 """Golden-assembly snapshot tests.
 
 Every built-in kernel of ``KERNEL_SOURCES`` at its ``default_config``,
-plus a few explicit configurations, is generated under each of the four
-ISA mappings (SSE, AVX, FMA3, FMA4) and diffed against a committed
-snapshot.  Together the scenarios instantiate every template in the
+plus a few explicit configurations, is generated under each of the five
+ISA mappings (SSE, AVX, FMA3, FMA4, AVX-512) and diffed against a
+committed snapshot.  Together the scenarios instantiate every template in the
 ``OPTIMIZERS`` table — the paper's six (mmCOMP, mmSTORE, mvCOMP and their
 unrolled variants) and the sumREDUCE / mvSCALE / mvUnrolledSCALE
 extensions — and both vectorization methods of §3.4 (Vdup and Shuf).  Any
@@ -156,3 +156,26 @@ def test_generation_is_deterministic():
     second = Augem(arch=ALL_ARCH_SPECS[0]).generate_named(
         kernel, config=config, name=symbol).asm_text
     assert first == second
+
+
+def test_shuf_method_falls_back_to_vdup_at_eight_lanes():
+    """``vectorize`` applies the Shuf method to n in {2, 4} only; with the
+    8-lane ``skylakex`` vectors the forced Shuf scenario is a Vdup kernel
+    (broadcast loads, no in-register shuffles)."""
+    from repro.isa.arch import SKYLAKEX
+
+    gk = Augem(arch=SKYLAKEX).generate_named("gemm_shuf", strategy="shuf")
+    plans = {rp.strategy for rp in gk.plan.region_plans.values()}
+    assert "shuf" not in plans and "vdup" in plans
+    assert "vbroadcastsd" in gk.asm_text
+    assert "vpermilpd" not in gk.asm_text
+
+
+def test_skylakex_snapshots_use_evex_encodable_instructions_only():
+    """Registers 16-31 encode only as EVEX: no 512-bit kernel may select
+    an instruction that has no EVEX form."""
+    no_evex = ("vextractf128", "vperm2f128", "vblendpd", "vinsertf128",
+               "vhaddpd")
+    for path in GOLDEN_DIR.glob("*__skylakex.s"):
+        text = path.read_text()
+        assert not [mn for mn in no_evex if mn in text], path.name

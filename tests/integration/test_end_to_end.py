@@ -1,12 +1,15 @@
 """End-to-end integration: every kernel x every architecture, native and
 emulated, cross-validated against numpy and against each other."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.runner import load_kernel
+from repro.blas.gemm import kernel_multiples
 from repro.core.framework import Augem
 from repro.emu.run import call_kernel
 from repro.isa.arch import PILEDRIVER
@@ -36,7 +39,7 @@ def _check_gemm(run, rng, layout="dup", multiples=(1, 1, 1)):
     np.testing.assert_allclose(c, ref, rtol=1e-12, atol=1e-10)
 
 
-# -- emulator path: all four arch specs incl. Piledriver FMA4 ----------------
+# -- emulator path: every arch spec incl. Piledriver FMA4 and AVX-512 ---------
 
 def test_gemm_emulated(any_arch, rng):
     from repro.blas.gemm import kernel_multiples
@@ -130,7 +133,10 @@ def test_emulator_matches_native_exactly(native_arch, rng):
     gk = Augem(arch=native_arch).generate_named(
         "gemm", name=f"xval_{native_arch.name}")
     kernel = load_kernel("gemm", gk)
-    mc, nc, kc, ldc = 24, 4, 16, 24
+    # whole micro-tiles only: the kernel writes every column of a tile
+    mu, nu, ku = kernel_multiples(gk)
+    mc, nc, kc = math.lcm(mu, 24), math.lcm(nu, 4), math.lcm(ku, 16)
+    ldc = mc
     a = rng.standard_normal(kc * mc)
     b = rng.standard_normal(nc * kc)
     c_native = np.zeros(ldc * nc)

@@ -9,6 +9,7 @@ from repro.isa.arch import (
     GENERIC_SSE,
     HASWELL,
     SANDYBRIDGE,
+    SKYLAKEX,
     detect_host,
     forced_arch_name,
     reset_host_cache,
@@ -37,6 +38,30 @@ def test_avx2_fma_flags_select_haswell(tmp_path):
 def test_avx_without_fma_selects_sandybridge(tmp_path):
     path = _cpuinfo(tmp_path, "flags : fpu sse2 avx\n")
     assert detect_host(path) is SANDYBRIDGE
+
+
+_AVX512 = "fpu sse2 avx avx2 fma avx512f avx512dq avx512cd avx512bw avx512vl"
+
+
+def test_avx512_flags_select_skylakex(tmp_path):
+    path = _cpuinfo(tmp_path, f"processor : 0\nflags : {_AVX512}\n")
+    assert detect_host(path) is SKYLAKEX
+
+
+@pytest.mark.parametrize("missing", ["avx512vl", "avx512dq", "avx512f"])
+def test_avx512_without_one_required_flag_is_haswell(tmp_path, missing):
+    flags = " ".join(f for f in _AVX512.split() if f != missing)
+    assert detect_host(_cpuinfo(tmp_path, f"flags : {flags}\n")) is HASWELL
+
+
+def test_avx512_without_fma_is_not_skylakex(tmp_path):
+    flags = " ".join(f for f in _AVX512.split() if f != "fma")
+    assert detect_host(_cpuinfo(tmp_path, f"flags : {flags}\n")) is SANDYBRIDGE
+
+
+def test_force_arch_haswell_on_an_avx512_host(tmp_path, monkeypatch):
+    monkeypatch.setenv(FORCE_ARCH_ENV, "haswell")
+    assert detect_host(_cpuinfo(tmp_path, f"flags : {_AVX512}\n")) is HASWELL
 
 
 def test_no_flags_line_falls_back_to_sse(tmp_path):

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.isa.arch import GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE
-from repro.isa.mapping import MappingRules
+from repro.isa.arch import (GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE,
+                            SKYLAKEX)
+from repro.isa.mapping import WIDTH_ROWS, MappingRules
 from repro.isa.operands import Imm, Mem
-from repro.isa.registers import GP, xmm
+from repro.isa.registers import GP, xmm, ymm, zmm
 
 M = Mem(base=GP["rax"], disp=8)
 R0, R1, R2, R3 = xmm(0), xmm(1), xmm(2), xmm(3)
@@ -130,3 +131,56 @@ def test_vmul_into_sse_avoids_self_copy():
     assert mnems(out) == ["mulpd"]
     out2 = MappingRules(GENERIC_SSE).vmul_into(R1, R2, R3)
     assert mnems(out2) == ["movapd", "mulpd"]
+
+
+# -- the 512-bit width row (AVX-512: EVEX forms only) --------------------------
+
+#: VEX instructions without an EVEX form: they cannot encode registers
+#: 16-31, so the 512-bit row must never select them
+_NO_EVEX_FORM = {"vextractf128", "vperm2f128", "vblendpd", "vinsertf128",
+                 "vhaddpd"}
+
+
+def test_width_rows_cover_every_vector_width():
+    assert sorted(WIDTH_ROWS) == [16, 32, 64]
+    row = WIDTH_ROWS[64]
+    used = {row.extract, row.lane_permute, row.blend, *row.epilogue,
+            *(mn for mn, _ in row.halves)}
+    assert not used & _NO_EVEX_FORM
+
+
+def test_avx512_broadcast_load_and_exit():
+    skx = MappingRules(SKYLAKEX)
+    out = skx.vdup(M, xmm(21))
+    assert mnems(out) == ["vbroadcastsd"] and out[0].operands[1] == zmm(21)
+    assert skx.vload(M, R1)[0].operands[1] == zmm(1)
+    assert mnems(skx.vmul_add(R0, R1, xmm(30))) == ["vfmadd231pd"]
+    assert mnems(skx.epilogue()) == ["vzeroupper"]
+
+
+@pytest.mark.parametrize("lane", range(2, 8))
+def test_avx512_extract_lane(lane):
+    out = MappingRules(SKYLAKEX).extract_lane(xmm(20), lane, xmm(25))
+    assert out[0].mnemonic == "vextractf64x2"
+    assert out[0].operands == (Imm(lane // 2), zmm(20), xmm(25))
+    assert mnems(out[1:]) == (["vunpckhpd"] if lane % 2 else [])
+    with pytest.raises(ValueError):
+        MappingRules(HASWELL).extract_lane(R1, 4, R2)
+
+
+def test_avx512_hreduce_halves_twice():
+    out = MappingRules(SKYLAKEX).hreduce_to_scalar(xmm(21), xmm(25))
+    assert mnems(out) == ["vextractf64x4", "vaddpd", "vextractf64x2",
+                          "vaddpd", "vunpckhpd", "vaddsd"]
+    assert out[0].operands == (Imm(1), zmm(21), ymm(25))
+    assert out[2].operands == (Imm(1), ymm(21), xmm(25))
+
+
+def test_avx512_has_no_128_bit_lane_shuffles():
+    skx = MappingRules(SKYLAKEX)
+    assert skx.shuf_swap_adjacent(R1, R2)[0].operands[0] == Imm(0x55)
+    for bad in (lambda: skx.shuf_swap_lanes(R1, R2),
+                lambda: skx.vperm128_lo_hi(R1, R2, R3),
+                lambda: skx.vblend(0b1010, R1, R2, R3)):
+        with pytest.raises(ValueError):
+            bad()

@@ -79,7 +79,7 @@ def test_get_arch():
     with pytest.raises(KeyError):
         get_arch("m68k")
     assert set(ALL_ARCHS) == {"sandybridge", "piledriver", "haswell",
-                              "generic_sse"}
+                              "skylakex", "generic_sse"}
 
 
 def test_detect_host_never_fma4():

@@ -12,6 +12,7 @@ from repro.isa.registers import (
     vec,
     xmm,
     ymm,
+    zmm,
 )
 
 
@@ -23,8 +24,19 @@ def test_register_str_att_syntax():
 def test_vector_index_shared_between_widths():
     assert xmm(5).index == 5
     assert ymm(5).index == 5
+    assert zmm(5).index == 5
     assert xmm(5).as_width(32) == ymm(5)
     assert ymm(7).xmm == xmm(7)
+    assert xmm(21).zmm == zmm(21) and zmm(21).ymm == ymm(21)
+
+
+def test_every_width_has_32_registers():
+    for width, make in ((16, xmm), (32, ymm), (64, zmm)):
+        assert [make(i).name for i in (0, 16, 31)] == [
+            f"{make(0).name[:3]}{i}" for i in (0, 16, 31)]
+        assert vec(31, width) == make(31)
+        with pytest.raises(ValueError):
+            vec(32, width)
 
 
 def test_as_width_rejects_gp():
@@ -32,7 +44,7 @@ def test_as_width_rejects_gp():
         GP["rax"].as_width(32)
 
 
-@pytest.mark.parametrize("width", [8, 64, 0])
+@pytest.mark.parametrize("width", [8, 128, 0])
 def test_as_width_rejects_unknown_width(width):
     with pytest.raises(ValueError, match="unsupported vector width"):
         xmm(3).as_width(width)
@@ -41,17 +53,19 @@ def test_as_width_rejects_unknown_width(width):
 
 
 def test_as_width_round_trips_known_widths():
-    for width, reg in ((16, xmm(3)), (32, ymm(3))):
+    for width, reg in ((16, xmm(3)), (32, ymm(3)), (64, zmm(3))):
         assert xmm(3).as_width(width) == reg
         assert ymm(3).as_width(width) == reg
+        assert zmm(3).as_width(width) == reg
         assert reg.width == width
 
 
 def test_vec_constructor():
     assert vec(2, 16) == xmm(2)
     assert vec(2, 32) == ymm(2)
+    assert vec(2, 64) == zmm(2)
     with pytest.raises(ValueError):
-        vec(2, 64)
+        vec(2, 128)
 
 
 def test_allocatable_excludes_scratch_and_rsp():

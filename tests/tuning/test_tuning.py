@@ -213,10 +213,11 @@ def test_fresh_process_retune_reuses_on_disk_artifacts(tmp_path):
 
 @needs_cc
 def test_tune_kernel_records_failures_and_survives():
-    # an over-aggressive unroll that blows the register file must be
-    # recorded as a failed trial, not crash the search
+    # an over-aggressive unroll that blows the register file (at every
+    # vector width, 32 registers included) must be recorded as a failed
+    # trial, not crash the search
     cands = [
-        Candidate(OptimizationConfig(unroll_jam=(("j", 8), ("i", 16)))),
+        Candidate(OptimizationConfig(unroll_jam=(("j", 8), ("i", 32)))),
         Candidate(OptimizationConfig(unroll_jam=(("j", 2), ("i", 8)))),
     ]
     result = tune_kernel("gemm", candidates=cands, batches=2)
