@@ -61,32 +61,6 @@ class CodegenError(PoetError):
     """Raised when a construct reaches codegen that it cannot translate."""
 
 
-def _usage_weights(fn: C.FuncDef) -> Dict[str, int]:
-    """Use count per variable, weighted 4^loop_depth."""
-    weights: Dict[str, int] = {}
-
-    def walk(node: C.Node, depth: int) -> None:
-        if isinstance(node, C.For):
-            for part in (node.init, node.cond, node.step):
-                if part is not None:
-                    walk(part, depth + 1)
-            walk(node.body, depth + 1)
-            return
-        if isinstance(node, C.Id):
-            weights[node.name] = weights.get(node.name, 0) + 4 ** min(depth, 8)
-        if isinstance(node, C.TaggedRegion):
-            for s in node.stmts:
-                walk(s, depth)
-            return
-        for child in node.children():
-            walk(child, depth)
-
-    walk(fn.body, 0)
-    for p in fn.params:  # params always count at least once
-        weights.setdefault(p.name, 1)
-    return weights
-
-
 class KernelCodeGen:
     """Code generation context shared with the template optimizers."""
 
@@ -116,8 +90,11 @@ class KernelCodeGen:
             if self.symtab.type_of(name).is_pointer
             or self.symtab.is_integer(name)
         ]
-        weights = _usage_weights(fn)
-        int_vars.sort(key=lambda v: -weights.get(v, 0))
+        # hottest first: loop-depth-weighted uses; an unused parameter
+        # still counts once
+        weights = self.liveness.use_weight
+        params = {p.name for p in fn.params}
+        int_vars.sort(key=lambda v: -(weights.get(v) or (v in params)))
         self.gp_home: Dict[str, Register] = {}
         for var, reg in zip(int_vars, ALLOCATABLE_GP):
             self.gp_home[var] = reg

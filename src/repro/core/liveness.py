@@ -8,6 +8,10 @@ We assign every statement (including :class:`TaggedRegion` nodes) a position
 in a flattened pre-order walk and record, per variable, the first and last
 positions mentioning it.  A mention inside a loop extends the range to the
 loop's end marker, making ranges conservative for loop-carried values.
+
+The same walk counts every variable's uses weighted by loop depth
+(``use_weight``), which the Assembly Kernel Generator ranks variables by
+for the general-purpose registers.
 """
 
 from __future__ import annotations
@@ -31,9 +35,12 @@ class Liveness:
         self._pos: Dict[int, int] = {}  # id(stmt) -> position
         self._range: Dict[str, LiveRange] = {}
         self._counter = 0
+        #: uses per variable (identifier references, not declarations),
+        #: each weighted 4^loop_depth (depth capped at 8)
+        self.use_weight: Dict[str, int] = {}
         for p in fn.params:
             self._mention(p.name, 0)
-        self._walk_block(fn.body)
+        self._walk_block(fn.body, 0)
 
     # -- construction ----------------------------------------------------
     def _next(self) -> int:
@@ -48,15 +55,22 @@ class Liveness:
             r.start = min(r.start, pos)
             r.end = max(r.end, pos)
 
-    def _mention_all(self, node: C.Node, pos: int) -> List[str]:
-        """Mention every variable ``node`` names at ``pos``; return them."""
-        names = [n.name for n in node.walk()
-                 if isinstance(n, (C.Id, C.Decl))]
-        for name in names:
-            self._mention(name, pos)
+    def _mention_all(self, node: C.Node, pos: int, depth: int) -> List[str]:
+        """Mention every variable ``node`` names at ``pos`` (uses at loop
+        depth ``depth``); return them."""
+        names = []
+        weight = 4 ** min(depth, 8)
+        uses = self.use_weight
+        for n in node.walk():
+            if isinstance(n, C.Id):
+                uses[n.name] = uses.get(n.name, 0) + weight
+            elif not isinstance(n, C.Decl):
+                continue
+            names.append(n.name)
+            self._mention(n.name, pos)
         return names
 
-    def _walk_block(self, block: C.Block) -> Set[str]:
+    def _walk_block(self, block: C.Block, depth: int) -> Set[str]:
         """Number ``block``'s statements; return the names they mention."""
         names: Set[str] = set()
         for s in block.stmts:
@@ -66,8 +80,8 @@ class Liveness:
                 inner: Set[str] = set()
                 for part in (s.init, s.cond, s.step):
                     if part is not None:
-                        inner.update(self._mention_all(part, pos))
-                inner |= self._walk_block(s.body)
+                        inner.update(self._mention_all(part, pos, depth + 1))
+                inner |= self._walk_block(s.body, depth + 1)
                 end_pos = self._next()
                 # everything mentioned inside the loop lives to its end
                 for name in inner:
@@ -75,17 +89,17 @@ class Liveness:
                     r.end = max(r.end, end_pos)
                 names |= inner
             elif isinstance(s, C.If):
-                names.update(self._mention_all(s.cond, pos))
-                names |= self._walk_block(s.then)
+                names.update(self._mention_all(s.cond, pos, depth))
+                names |= self._walk_block(s.then, depth)
                 if s.els is not None:
-                    names |= self._walk_block(s.els)
+                    names |= self._walk_block(s.els, depth)
             elif isinstance(s, C.Block):
-                names |= self._walk_block(s)
+                names |= self._walk_block(s, depth)
             elif isinstance(s, C.TaggedRegion):
                 for inner_stmt in s.stmts:
-                    names.update(self._mention_all(inner_stmt, pos))
+                    names.update(self._mention_all(inner_stmt, pos, depth))
             else:
-                names.update(self._mention_all(s, pos))
+                names.update(self._mention_all(s, pos, depth))
         return names
 
     # -- queries -----------------------------------------------------------

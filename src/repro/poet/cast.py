@@ -5,7 +5,8 @@ The AUGEM pipeline operates on *simple C* kernels (paper Figs. 12, 15, 16,
 This module defines the node types shared by the lexer/parser, the
 pretty-printer, the pattern matcher, and every transformation.
 
-Nodes are small frozen-ish dataclasses (mutable on purpose: rewriters build
+Nodes are small frozen-ish dataclasses with ``__slots__`` (a 24x8 GEMM
+tile is tens of thousands of nodes; mutable on purpose: rewriters build
 new trees, but a few passes annotate nodes in place).  Every node supports
 ``children()``, structural equality, and ``clone()`` (deep copy).
 """
@@ -112,15 +113,14 @@ def child_fields(cls: type) -> Tuple[str, ...]:
     return names
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """Base class of every AST node."""
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (skips None / non-node fields)."""
-        d = self.__dict__
         for name in child_fields(type(self)):
-            v = d[name]
+            v = getattr(self, name)
             if isinstance(v, Node):
                 yield v
             elif isinstance(v, (list, tuple)):
@@ -138,10 +138,9 @@ class Node:
             names = _CHILD_FIELDS.get(type(node)) or child_fields(type(node))
             if not names:
                 continue
-            d = node.__dict__
             kids = []
             for name in names:
-                v = d[name]
+                v = getattr(node, name)
                 if isinstance(v, Node):
                     kids.append(v)
                 elif isinstance(v, (list, tuple)):
@@ -169,28 +168,28 @@ Stmt = Node
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Id(Node):
     """A variable reference."""
 
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Node):
     """Integer literal."""
 
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatLit(Node):
     """Floating-point literal."""
 
     value: float
 
 
-@dataclass
+@dataclass(slots=True)
 class BinOp(Node):
     """Binary expression ``left op right``; op in + - * / % << >> < <= > >= == !=."""
 
@@ -199,7 +198,7 @@ class BinOp(Node):
     right: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class UnaryOp(Node):
     """Unary expression; op in ``- ! * &``."""
 
@@ -207,7 +206,7 @@ class UnaryOp(Node):
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Index(Node):
     """Array subscript ``base[index]``."""
 
@@ -215,7 +214,7 @@ class Index(Node):
     index: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Node):
     """Function (or intrinsic) call.  AUGEM uses ``prefetch*(addr)``."""
 
@@ -223,7 +222,7 @@ class Call(Node):
     args: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast(Node):
     """C cast ``(type) expr``."""
 
@@ -236,7 +235,7 @@ class Cast(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Node):
     """Assignment statement ``lhs op rhs``; op in = += -= *=."""
 
@@ -245,7 +244,7 @@ class Assign(Node):
     rhs: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Decl(Node):
     """Declaration ``type name [= init];``."""
 
@@ -254,21 +253,21 @@ class Decl(Node):
     init: Optional[Expr] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Node):
     """Expression used as a statement (e.g. a call, ``ptr++``)."""
 
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Node):
     """A ``{ ... }`` statement list."""
 
     stmts: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class For(Node):
     """A C for-loop.  ``init``/``step`` are statements (or None); ``cond`` an expr."""
 
@@ -278,25 +277,25 @@ class For(Node):
     body: Block
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Node):
     cond: Expr
     then: Block
     els: Optional[Block] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Node):
     value: Optional[Expr] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Param(Node):
     name: str
     ctype: CType
 
 
-@dataclass
+@dataclass(slots=True)
 class FuncDef(Node):
     """A function definition."""
 
@@ -306,7 +305,7 @@ class FuncDef(Node):
     body: Block
 
 
-@dataclass
+@dataclass(slots=True)
 class Program(Node):
     """A translation unit: a list of function definitions."""
 
@@ -324,7 +323,7 @@ class Program(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TaggedRegion(Node):
     """A statement region tagged with a matching template annotation.
 
@@ -370,9 +369,8 @@ def copy_tree(node: Node, ids: Optional[dict] = None) -> Node:
         v = ids[node.name]
         return Id(v) if isinstance(v, str) else copy_tree(v)
     out = object.__new__(cls)
-    src = node.__dict__
-    out.__dict__.update(
-        (name, _copy_value(src[name], ids)) for name in field_names(cls))
+    for name in field_names(cls):
+        setattr(out, name, _copy_value(getattr(node, name), ids))
     return out
 
 

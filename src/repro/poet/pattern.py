@@ -44,9 +44,10 @@ def ast_equal(a, b) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, C.Node):
-        da, db = a.__dict__, b.__dict__
-        return all(ast_equal(da[name], db[name])
-                   for name in C.field_names(type(a)))
+        for name in C.field_names(type(a)):
+            if not ast_equal(getattr(a, name), getattr(b, name)):
+                return False
+        return True
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(ast_equal(x, y) for x, y in zip(a, b))
     return a == b
@@ -67,9 +68,11 @@ def _match_value(pat, node, binding: dict) -> bool:
     if isinstance(pat, C.Node):
         if type(pat) is not type(node):
             return False
-        dp, dn = pat.__dict__, node.__dict__
-        return all(_match_value(dp[name], dn[name], binding)
-                   for name in C.field_names(type(pat)))
+        for name in C.field_names(type(pat)):
+            if not _match_value(getattr(pat, name), getattr(node, name),
+                                binding):
+                return False
+        return True
     if isinstance(pat, (list, tuple)):
         if not isinstance(node, (list, tuple)) or len(pat) != len(node):
             return False

@@ -47,11 +47,10 @@ class NodeTransformer:
         return node
 
     def _rewrite_children(self, node: C.Node) -> C.Node:
-        d = node.__dict__
         for name in C.field_names(type(node)):
-            v = d[name]
+            v = getattr(node, name)
             if isinstance(v, C.Node):
-                d[name] = self.transform(v)
+                setattr(node, name, self.transform(v))
             elif isinstance(v, list):
                 new_list = []
                 for item in v:
@@ -65,7 +64,7 @@ class NodeTransformer:
                             new_list.append(r)
                     else:
                         new_list.append(item)
-                d[name] = new_list
+                setattr(node, name, new_list)
         return node
 
 

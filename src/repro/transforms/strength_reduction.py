@@ -182,6 +182,9 @@ class StrengthReduce(Transform):
         # collect candidate refs directly in this loop body (not nested loops:
         # their refs were handled when the inner loop was processed)
         groups: Dict[Tuple[str, str, str], _PtrGroup] = {}
+        # subscript text -> (form, canonical coeff and base) or None: the
+        # copies of an unrolled body repeat each subscript many times
+        forms: Dict[str, Optional[Tuple[AffineForm, str, str]]] = {}
 
         def scan(node: C.Node, in_nested_loop: bool) -> None:
             if isinstance(node, C.For) and node is not loop:
@@ -192,10 +195,15 @@ class StrengthReduce(Transform):
                 arr = node.base.name
                 if not symtab.is_pointer(arr):
                     return
-                form = decompose_affine(node.index, info.var)
-                if form is None or form.coeff is None:
+                text = to_c(node.index)
+                if text not in forms:
+                    form = decompose_affine(node.index, info.var)
+                    forms[text] = None if form is None or form.coeff is None \
+                        else (form, _canon(form.coeff), _canon(form.base))
+                if forms[text] is None:
                     return  # invariant or non-affine: leave alone
-                key = (arr, _canon(form.coeff), _canon(form.base))
+                form, coeff, base = forms[text]
+                key = (arr, coeff, base)
                 grp = groups.get(key)
                 if grp is None:
                     grp = _PtrGroup(arr, form.coeff, form.base)
