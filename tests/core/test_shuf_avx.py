@@ -8,13 +8,22 @@ from repro.core.framework import Augem
 from repro.core.identifier import identify_templates
 from repro.core.vectorize import plan_vectorization
 from repro.emu.run import call_kernel
-from repro.isa.arch import HASWELL, PILEDRIVER, SANDYBRIDGE
+from repro.isa.arch import HASWELL, PILEDRIVER, SANDYBRIDGE, detect_host
 from repro.blas.kernels import GEMM_SHUF_SIMPLE_C
 from repro.transforms.pipeline import OptimizationConfig, optimize_c_kernel
 
 from tests.conftest import needs_cc
 
 CFG_4X4 = OptimizationConfig(unroll_jam=(("j", 4), ("i", 4)))
+
+
+def _native_256_bit_arch():
+    """The 4-lane spec the host runs (the Shuf method is 4 lanes wide;
+    an AVX-512 host runs the 256-bit FMA3 spec natively too)."""
+    host = detect_host()
+    if host.simd != "avx":
+        pytest.skip("host lacks AVX")
+    return HASWELL if host.fma == "fma3" else SANDYBRIDGE
 
 
 def _shuf_ref(rng, mc, nc, kc, ldc):
@@ -64,12 +73,8 @@ def test_shuf4_emulated_correct(arch, rng):
 
 @needs_cc
 def test_shuf4_native_correct(rng):
-    from repro.isa.arch import detect_host
-
-    host = detect_host()
-    if host.simd != "avx":
-        pytest.skip("host lacks AVX")
-    gk = Augem(arch=host).generate_named("gemm_shuf", config=CFG_4X4,
+    arch = _native_256_bit_arch()
+    gk = Augem(arch=arch).generate_named("gemm_shuf", config=CFG_4X4,
                                          strategy="shuf", name="shuf4_nat")
     kernel = load_kernel("gemm_shuf", gk)
     a, b, c, ref = _shuf_ref(rng, 16, 8, 32, 20)
@@ -79,14 +84,10 @@ def test_shuf4_native_correct(rng):
 
 @needs_cc
 def test_shuf4_with_l_unroll(rng):
-    from repro.isa.arch import detect_host
-
-    host = detect_host()
-    if host.simd != "avx":
-        pytest.skip("host lacks AVX")
+    arch = _native_256_bit_arch()
     cfg = OptimizationConfig(unroll_jam=(("j", 4), ("i", 4)),
                              unroll=(("l", 2),))
-    gk = Augem(arch=host).generate_named("gemm_shuf", config=cfg,
+    gk = Augem(arch=arch).generate_named("gemm_shuf", config=cfg,
                                          strategy="shuf", name="shuf4_ku2")
     kernel = load_kernel("gemm_shuf", gk)
     a, b, c, ref = _shuf_ref(rng, 8, 8, 32, 8)
