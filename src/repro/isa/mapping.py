@@ -49,9 +49,9 @@ class WidthRow:
     #: copies 128-bit lane pair ``imm`` of a full-width register to an xmm
     #: (``None``: the register is one lane pair)
     extract: Optional[str]
-    #: horizontal sum: ``(mnemonic, source width)`` extracts of the upper
-    #: half, widest first; each is followed by a packed add of the halves
-    halves: Tuple[Tuple[str, int], ...]
+    #: horizontal sum: the extracts of the upper half, from the full width
+    #: down to 128 bits; each is followed by a packed add of the halves
+    halves: Tuple[str, ...]
     #: 128-bit half permute and lane blend of the 4-lane Shuf method
     #: (``None``: not available at this width)
     lane_permute: Optional[str]
@@ -66,12 +66,12 @@ WIDTH_ROWS: Dict[int, WidthRow] = {
     16: WidthRow(broadcast="movddup", extract=None, halves=(),
                  lane_permute=None, blend="vblendpd", epilogue=()),
     32: WidthRow(broadcast="broadcastsd", extract="vextractf128",
-                 halves=(("vextractf128", 32),),
+                 halves=("vextractf128",),
                  lane_permute="vperm2f128", blend="vblendpd",
                  epilogue=("vzeroupper",)),
     # no EVEX form exists for vextractf128, vperm2f128 or vblendpd
     64: WidthRow(broadcast="broadcastsd", extract="vextractf64x2",
-                 halves=(("vextractf64x4", 64), ("vextractf64x2", 32)),
+                 halves=("vextractf64x4", "vextractf64x2"),
                  lane_permute=None, blend=None,
                  epilogue=("vzeroupper",)),
 }
@@ -278,10 +278,11 @@ class MappingRules:
         unpack + add.
         """
         out: List[Instr] = []
-        for mn, width in self._row.halves:
-            half = width // 2
-            a, t = acc.as_width(half), tmp.as_width(half)
-            out.append(instr(mn, Imm(1), acc.as_width(width), t,
+        width = self.arch.vector_bytes
+        for mn in self._row.halves:
+            width //= 2
+            a, t = acc.as_width(width), tmp.as_width(width)
+            out.append(instr(mn, Imm(1), acc.as_width(2 * width), t,
                              comment=comment))
             out += self._op("addpd", t, a, a)
             comment = None

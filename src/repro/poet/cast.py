@@ -129,17 +129,14 @@ class Node:
                         yield item
 
     def walk(self) -> Iterator["Node"]:
-        """Yield this node and all descendants, pre-order."""
+        """Yield this node and all descendants, pre-order (iteratively:
+        the children are gathered inline, without a generator per node)."""
         stack = [self]
-        pop = stack.pop
         while stack:
-            node = pop()
+            node = stack.pop()
             yield node
-            names = _CHILD_FIELDS.get(type(node)) or child_fields(type(node))
-            if not names:
-                continue
             kids = []
-            for name in names:
+            for name in child_fields(type(node)):
                 v = getattr(node, name)
                 if isinstance(v, Node):
                     kids.append(v)

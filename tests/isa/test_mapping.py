@@ -145,7 +145,7 @@ def test_width_rows_cover_every_vector_width():
     assert sorted(WIDTH_ROWS) == [16, 32, 64]
     row = WIDTH_ROWS[64]
     used = {row.extract, row.lane_permute, row.blend, *row.epilogue,
-            *(mn for mn, _ in row.halves)}
+            *row.halves}
     assert not used & _NO_EVEX_FORM
 
 

@@ -72,6 +72,12 @@ def test_arch_validation():
         ArchSpec(name="bad", simd="sse", vector_bytes=32)
     with pytest.raises(ValueError):
         ArchSpec(name="bad", simd="avx", fma="fma9")
+    with pytest.raises(ValueError):  # registers 16-31 need EVEX
+        ArchSpec(name="bad", simd="avx", vector_bytes=32, n_vector_regs=32)
+    with pytest.raises(ValueError):
+        ArchSpec(name="bad", simd="avx", vector_bytes=128)
+    assert ArchSpec(name="ok", simd="avx", vector_bytes=64,
+                    n_vector_regs=32).doubles_per_vector == 8
 
 
 def test_get_arch():
